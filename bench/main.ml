@@ -89,8 +89,8 @@ let pmap_seeds seeds f =
    when the baseline has them too.
 
    Honest accounting: [rounds] counts only rounds the engine actually
-   simulated; [skipped] counts rounds the sparse engine fast-forwarded
-   with the silent-round hint.  They are disjoint, and rounds/sec is
+   simulated; [skipped] counts rounds the engine fast-forwarded with the
+   silent-round hint.  They are disjoint, and rounds/sec is
    computed over simulated rounds only — a skipped round is not
    throughput. *)
 let bench_records :
@@ -1202,18 +1202,25 @@ let micro () =
   print_table t
 
 (* ------------------------------------------------------------------ *)
-(* ES — E-scale: the sharded engine at n = 10^4 / 10^5                  *)
+(* ES — E-scale: the multi-domain engine at n = 10^4 / 10^5             *)
 
 (* One Decay broadcast per engine configuration, each checked byte-identical
-   to the serial reference before its timing is reported.  Per-configuration
-   rounds/sec rows land in BENCH_engine.json next to the per-experiment
-   totals (ids like "ES-layered[domains=2]").
+   to the reference run ([Engine.reference_mode], row "serial") before its
+   timing is reported; "sparse" is the default single-domain path.
+   Per-configuration rounds/sec rows land in BENCH_engine.json next to the
+   per-experiment totals (ids like "ES-layered[domains=2]").
 
    Every run carries a metrics registry; its full export (per-phase
    aggregates + receive histogram + totals) must also be byte-identical
-   across engines, and the per-phase aggregates ride into the perf record
-   as extra JSON fields that tools/benchdiff gates exactly. *)
+   across configurations, and the per-phase aggregates ride into the perf
+   record as extra JSON fields that tools/benchdiff gates exactly. *)
 module Obs = Rn_obs
+
+(* Run [f] under the engine's reference probe: no skip, full decide scan,
+   Silence delivered to every listener. *)
+let with_reference f =
+  Atomic.set Rn_radio.Engine.reference_mode true;
+  Fun.protect ~finally:(fun () -> Atomic.set Rn_radio.Engine.reference_mode false) f
 
 let obs_fingerprint m =
   String.concat "\n"
@@ -1229,16 +1236,14 @@ let es_decay ~id ~graph_name g ~domain_counts =
       ~columns:[ "engine"; "wall s"; "rounds/s"; "vs serial" ]
   in
   let ladder = Ilog.clog (Graph.n g) in
-  let run ?(engine = Rn_radio.Engine.Dense) domains =
+  let run domains =
     let rng = Rng.create ~seed:42 in
     let metrics = Obs.Metrics.create ~phases:256 ~hist_width:ladder () in
     let w0 = Unix.gettimeofday () in
-    let r =
-      Decay.broadcast ?domains ~engine ~metrics ~rng ~graph:g ~source:0 ()
-    in
+    let r = Decay.broadcast ?domains ~metrics ~rng ~graph:g ~source:0 () in
     (Unix.gettimeofday () -. w0, r, metrics)
   in
-  let ref_wall, ref_r, ref_m = run None in
+  let ref_wall, ref_r, ref_m = with_reference (fun () -> run None) in
   let ref_obs = obs_fingerprint ref_m in
   let rounds = ref_r.Decay.stats.Rn_radio.Engine.rounds in
   let extra =
@@ -1265,16 +1270,14 @@ let es_decay ~id ~graph_name g ~domain_counts =
       || r.Decay.stats <> ref_r.Decay.stats
     then
       failwith
-        (Printf.sprintf "%s: %s diverged from the serial engine" id name);
+        (Printf.sprintf "%s: %s diverged from the reference run" id name);
     if not (String.equal ref_obs (obs_fingerprint m)) then
       failwith
         (Printf.sprintf
-           "%s: %s metrics export diverged from the serial engine" id name)
+           "%s: %s metrics export diverged from the reference run" id name)
   in
   row "serial" ref_wall;
-  let sparse_wall, sparse_r, sparse_m =
-    run ~engine:Rn_radio.Engine.Sparse None
-  in
+  let sparse_wall, sparse_r, sparse_m = run None in
   verify "sparse" sparse_r sparse_m;
   row "sparse" sparse_wall;
   List.iter
@@ -1286,13 +1289,13 @@ let es_decay ~id ~graph_name g ~domain_counts =
   print_table t;
   note
     (Printf.sprintf
-       "every sparse and sharded run verified byte-identical to serial \
-        (outcome, per-node receive rounds, stats, metrics export); %d \
-        engine rounds each"
+       "every default-path and multi-domain run verified byte-identical to \
+        the reference run (outcome, per-node receive rounds, stats, metrics \
+        export); %d engine rounds each"
        rounds)
 
 let es_smoke () =
-  section "ESsmoke  sharded engine ≡ serial, CI-sized (n = 10^4)";
+  section "ESsmoke  default and multi-domain engine ≡ reference, CI-sized (n = 10^4)";
   es_decay ~id:"ESsmoke" ~graph_name:"layered D=100 w=100"
     (layered ~seed:7 ~depth:100 ~width:100)
     ~domain_counts:[ 2 ]
@@ -1317,7 +1320,8 @@ let es () =
      O(D + log^6 n): at every n this harness can reach, the polylog term
      towers over Decay's O(D log n + log^2 n), so the honest comparison is
      round counts at n = 10^4.  (Wall clock for larger n lives in ESthm,
-     where the sparse event-driven engine makes n = 10^5 feasible.) *)
+     where active sets and the silent-round skip make n = 10^5
+     feasible.) *)
   let g = layered ~seed:7 ~depth:100 ~width:100 in
   let t =
     Table.create
@@ -1347,7 +1351,7 @@ let es () =
       Rn_radio.Engine.total_skipped_rounds () - k0 )
   in
   assert rs.Single_broadcast.delivered;
-  (* Runs on the sparse default engine: record simulated rounds (not the
+  (* Runs on the default engine path: record simulated rounds (not the
      protocol clock) so rounds_per_sec never takes credit for the
      fast-forwarded volume, which is gated separately. *)
   record_bench ~skipped:skip "ES-thm11[n=1e4]" ws sim;
@@ -1363,10 +1367,11 @@ let es () =
      its asymptotic advantage needs D >> log^5 n"
 
 (* ------------------------------------------------------------------ *)
-(* ESthm — the sparse event-driven engine on the Theorem 1.1 pipeline   *)
+(* ESthm — active sets and silent-round skip on the Theorem 1.1 pipeline *)
 
-(* Dense vs sparse on the full Single_broadcast pipeline: the sparse run
-   must produce the *identical* result record (outcome, every per-node
+(* Reference probe ("dense") vs the default path ("sparse") on the full
+   Single_broadcast pipeline: the default run must produce the *identical*
+   result record (outcome, every per-node
    receive flag, every per-phase round count) from the same seed — the
    runtime re-verification behind every new bench row — and its win is
    reported with simulated and fast-forwarded rounds kept apart, so the
@@ -1375,29 +1380,30 @@ let esthm_compare ~id ~graph_name g =
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "%s  Theorem 1.1 dense vs sparse engine, %s (n=%d)"
+        (Printf.sprintf "%s  Theorem 1.1 reference vs default engine path, %s (n=%d)"
            id graph_name (Graph.n g))
       ~columns:
         [ "engine"; "wall s"; "protocol rounds"; "simulated"; "skipped";
           "speedup" ]
   in
-  let run engine =
+  let run () =
     let rng = Rng.create ~seed:42 in
     let s0 = Rn_radio.Engine.total_simulated_rounds () in
     let k0 = Rn_radio.Engine.total_skipped_rounds () in
     let w0 = Unix.gettimeofday () in
-    let r = Single_broadcast.run ~engine ~rng:(Rng.split rng) ~graph:g ~source:0 () in
+    let r = Single_broadcast.run ~rng:(Rng.split rng) ~graph:g ~source:0 () in
     let wall = Unix.gettimeofday () -. w0 in
     ( wall,
       r,
       Rn_radio.Engine.total_simulated_rounds () - s0,
       Rn_radio.Engine.total_skipped_rounds () - k0 )
   in
-  let wd, rd, sim_d, skip_d = run Rn_radio.Engine.Dense in
-  let ws, rs, sim_s, skip_s = run Rn_radio.Engine.Sparse in
+  let wd, rd, sim_d, skip_d = with_reference run in
+  let ws, rs, sim_s, skip_s = run () in
   if rd <> rs then
     failwith
-      (id ^ ": sparse engine diverged from dense on the Theorem 1.1 pipeline");
+      (id ^ ": default engine path diverged from the reference on the \
+             Theorem 1.1 pipeline");
   assert rs.Single_broadcast.delivered;
   let row name wall r sim skip speedup =
     record_bench ~skipped:skip (Printf.sprintf "%s[%s]" id name) wall sim;
@@ -1416,23 +1422,22 @@ let esthm_compare ~id ~graph_name g =
   print_table t;
   note
     (Printf.sprintf
-       "sparse result record identical to dense (delivered=%b, %d protocol \
-        rounds); dense simulated every protocol round, sparse simulated %d \
-        and fast-forwarded %d"
+       "default-path result record identical to the reference (delivered=%b, \
+        %d protocol rounds); the reference simulated every protocol round, \
+        the default path simulated %d and fast-forwarded %d"
        rs.Single_broadcast.delivered rs.Single_broadcast.rounds_total sim_s
        skip_s);
   (wd, ws)
 
-(* Sparse-only: the graphs where the dense engine is the reason the row
-   never existed.  The run still self-checks (delivery to every node). *)
+(* Default path only: the graphs where the reference run is the reason
+   the row never existed.  The run still self-checks (delivery to every node). *)
 let esthm_sparse_only ~id ~graph_name g =
   let rng = Rng.create ~seed:42 in
   let s0 = Rn_radio.Engine.total_simulated_rounds () in
   let k0 = Rn_radio.Engine.total_skipped_rounds () in
   let w0 = Unix.gettimeofday () in
   let r =
-    Single_broadcast.run ~engine:Rn_radio.Engine.Sparse ~rng:(Rng.split rng)
-      ~graph:g ~source:0 ()
+    Single_broadcast.run ~rng:(Rng.split rng) ~graph:g ~source:0 ()
   in
   let wall = Unix.gettimeofday () -. w0 in
   let sim = Rn_radio.Engine.total_simulated_rounds () - s0 in
@@ -1442,7 +1447,7 @@ let esthm_sparse_only ~id ~graph_name g =
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "%s  Theorem 1.1 sparse engine, %s (n=%d)" id
+        (Printf.sprintf "%s  Theorem 1.1 default engine path, %s (n=%d)" id
            graph_name (Graph.n g))
       ~columns:
         [ "wall s"; "protocol rounds"; "simulated"; "skipped"; "delivered" ]
@@ -1459,15 +1464,15 @@ let esthm_sparse_only ~id ~graph_name g =
 
 let esthm_smoke () =
   section
-    "ESthmsmoke  sparse Thm 1.1 engine ≡ dense, CI-sized (n = 2.5*10^3)";
+    "ESthmsmoke  Thm 1.1 default engine path ≡ reference, CI-sized (n = 2.5*10^3)";
   let wd, ws =
     esthm_compare ~id:"ESthmsmoke" ~graph_name:"layered D=50 w=50"
       (layered ~seed:7 ~depth:50 ~width:50)
   in
-  note (Printf.sprintf "dense %.1fs, sparse %.1fs" wd ws)
+  note (Printf.sprintf "reference %.1fs, default %.1fs" wd ws)
 
 let esthm () =
-  section "ESthm  sparse event-driven engine: Theorem 1.1 at n = 10^4, 10^5";
+  section "ESthm  active sets + silent-round skip: Theorem 1.1 at n = 10^4, 10^5";
   let _wd, _ws =
     esthm_compare ~id:"ESthm-1e4" ~graph_name:"layered D=100 w=100"
       (layered ~seed:7 ~depth:100 ~width:100)
@@ -1907,7 +1912,7 @@ let experiments =
   ]
 
 (* Heavyweight experiments that only run when named explicitly: ES is
-   minutes of wall clock at n = 10^5, and ESthm's dense reference run is
+   minutes of wall clock at n = 10^5, and ESthm's reference-probe run is
    ~2 minutes at n = 10^4. *)
 let explicit_only = [ "ES"; "ESthm" ]
 

@@ -73,5 +73,3 @@ val build : instance -> Rn_graph.Graph.t
     byte-identical — which is what lets the topology cache and the
     cache-off path produce identical results. *)
 
-val generator_names : string list
-(** Supported ["topo"] values, for error messages and docs. *)

@@ -5,8 +5,8 @@ open Rn_radio
 let decay_broadcast ?(params = Params.default) ?metrics ~rng ~graph ~source () =
   Decay.broadcast ~params ?metrics ~rng ~graph ~source ()
 
-let cr_broadcast ?(params = Params.default) ?metrics
-    ?(engine = Engine.Sparse) ~rng ~graph ~source ~diameter () =
+let cr_broadcast ?(params = Params.default) ?metrics ~rng ~graph ~source
+    ~diameter () =
   let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Baselines.cr_broadcast";
   let full = Params.phase_len ~n in
@@ -54,19 +54,11 @@ let cr_broadcast ?(params = Params.default) ?metrics
   let outcome =
     (* No active set or hint: every node may receive in any round, and the
        holders' probability ladder draws a coin every round. *)
-    match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ?after_round ~stats ~graph
-          ~detection:Engine.No_collision_detection
-          ~protocol:{ Engine.decide; deliver }
-          ~stop:(fun ~round:_ -> Atomic.get missing = 0)
-          ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ?after_round ~stats ~graph
-          ~detection:Engine.No_collision_detection
-          ~protocol:{ Engine.decide; deliver }
-          ~stop:(fun ~round:_ -> Atomic.get missing = 0)
-          ~max_rounds ()
+    Engine.run ?metrics ?after_round ~stats ~graph
+      ~detection:Engine.No_collision_detection
+      ~protocol:{ Engine.decide; deliver }
+      ~stop:(fun ~round:_ -> Atomic.get missing = 0)
+      ~max_rounds ()
   in
   (match metrics with
   | None -> ()

@@ -33,7 +33,6 @@ val decay_broadcast :
 val cr_broadcast :
   ?params:Params.t ->
   ?metrics:Rn_obs.Metrics.t ->
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
@@ -43,11 +42,9 @@ val cr_broadcast :
 (** [diameter] is the constant-factor estimate of [D] the model grants
     every node (§1.1).  [metrics], when given, records every round with
     one short³+full schedule cycle per phase id and folds first-receive
-    rounds into the histogram after the run.  [engine] (default [Sparse])
-    selects the round path; the sparse engine elides silent-round
-    delivery sweeps but uses no active set or skip hint (every node may
-    receive, and holders draw a ladder coin each round), and results are
-    identical to [Dense]. *)
+    rounds into the histogram after the run.  The run offers the engine no
+    active set or skip hint: every node may receive, and holders draw a
+    ladder coin each round. *)
 
 type multi_result = {
   rounds : int;

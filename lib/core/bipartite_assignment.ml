@@ -46,7 +46,6 @@ type t = {
   mutable epoch_hist : (int * int) list;
   mutable fixups : int;
   mutable fallbacks : int;
-  mutable late_attaches : int;
 }
 
 let decay_prob t r =
@@ -134,7 +133,6 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
     epoch_hist = [];
     fixups = 0;
     fallbacks = 0;
-    late_attaches = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -321,8 +319,7 @@ let end_epoch t =
           match higher with
           | v :: _ ->
               t.parents.(b) <- v;
-              t.parent_rank.(b) <- t.ranks.(v);
-              t.late_attaches <- t.late_attaches + 1
+              t.parent_rank.(b) <- t.ranks.(v)
           | [] ->
               failwith
                 "Bipartite_assignment: stranded blue with only equal-rank \
@@ -533,8 +530,6 @@ let class_fixups t = t.fixups
 
 let fallback_reactivations t = t.fallbacks
 
-let late_attaches t = t.late_attaches
-
 (* ------------------------------------------------------------------ *)
 (* Standalone *)
 
@@ -546,9 +541,8 @@ type outcome = {
   epoch_history : (int * int) list;
 }
 
-let run_standalone ?(detection = Engine.No_collision_detection)
-    ?(engine = Engine.Sparse) ?metrics ~rng ~params ~graph ~reds ~blues
-    ~blue_ranks () =
+let run_standalone ?(detection = Engine.No_collision_detection) ?metrics ~rng
+    ~params ~graph ~reds ~blues ~blue_ranks () =
   let n = Graph.n graph in
   let parents = Array.make n (-1) in
   let ranks = Array.make n 0 in
@@ -612,13 +606,8 @@ let run_standalone ?(detection = Engine.No_collision_detection)
   in
   let stop ~round:_ = finished t in
   ignore
-    (match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ~graph ~detection ~protocol ~after_round ~stop
-          ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ~decide_active ~graph ~detection ~protocol
-          ~after_round ~stop ~max_rounds ());
+    (Engine.run ?metrics ~decide_active ~graph ~detection ~protocol
+       ~after_round ~stop ~max_rounds ());
   {
     rounds = rounds_used t;
     parents;

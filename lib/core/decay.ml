@@ -17,7 +17,7 @@ type msg = Payload | Noise
 
 let broadcast ?(params = Params.default) ?ladder
     ?(detection = Engine.No_collision_detection) ?max_rounds ?faults ?domains
-    ?(engine = Engine.Sparse) ?metrics ~rng ~graph ~source () =
+    ?metrics ~rng ~graph ~source () =
   let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Decay.broadcast: bad source";
   let ladder = match ladder with Some l -> l | None -> Params.phase_len ~n in
@@ -29,10 +29,11 @@ let broadcast ?(params = Params.default) ?ladder
   let node_rng = Rng.split_n rng n in
   let received_round = Array.make n (-1) in
   received_round.(source) <- 0;
-  (* The only cross-node aggregate; atomic so the sharded engine's
+  (* The only cross-node aggregate; atomic so a multi-domain run's
      parallel deliver phase may decrement it from any lane.  Everything
      else the callbacks touch is per-node (own RNG stream, own
-     received_round cell), which is exactly the Engine_sharded contract. *)
+     received_round cell), which is exactly the engine's [domains]
+     contract. *)
   let missing = Atomic.make (n - 1) in
   let decide ~round ~node =
     if received_round.(node) >= 0 then begin
@@ -61,8 +62,8 @@ let broadcast ?(params = Params.default) ?ladder
   in
   let stats = Engine.fresh_stats () in
   let stop ~round:_ = Atomic.get missing = 0 in
-  (* Phase annotation runs in [after_round] — coordinator-serial under both
-     engines — so per-phase aggregation never touches the parallel deliver
+  (* Phase annotation runs in [after_round] — coordinator-serial for any
+     [domains] — so per-phase aggregation never touches the parallel deliver
      phase.  Round r belongs to Decay phase r/ladder (Lemma 2.2's unit). *)
   let after_round =
     match metrics with
@@ -73,21 +74,11 @@ let broadcast ?(params = Params.default) ?ladder
           (fun ~round ->
             Rn_obs.Phase.enter_of_round m ~len:ladder ~round:(round + 1))
   in
+  (* No skip hint: an informed node draws its coin every round, so no
+     round is statically silent.  Decay's deliver ignores Silence. *)
   let outcome =
-    match (domains, engine) with
-    | Some d, _ ->
-        Engine_sharded.run ~stats ?metrics ?after_round ~domains:d ~graph
-          ~detection ~protocol ~stop ~max_rounds ()
-    | None, Engine.Dense ->
-        Engine.run ~stats ?metrics ?after_round ~graph ~detection ~protocol
-          ~stop ~max_rounds ()
-    | None, Engine.Sparse ->
-        (* No skip hint: an informed node draws its coin every round, so no
-           round is statically silent; the win is the elided silence
-           deliveries and listener resets.  Decay's deliver ignores
-           Silence, satisfying the sparse no-op contract. *)
-        Engine_sparse.run ~stats ?metrics ?after_round ~graph ~detection
-          ~protocol ~stop ~max_rounds ()
+    Engine.run ~stats ?metrics ?after_round ?domains ~graph ~detection
+      ~protocol ~stop ~max_rounds ()
   in
   (match metrics with
   | None -> ()

@@ -40,7 +40,6 @@ val broadcast :
   ?max_rounds:int ->
   ?faults:Faults.spec ->
   ?domains:int ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
@@ -54,16 +53,11 @@ val broadcast :
     are ≤ n/D).  Collision detection is irrelevant to Decay; the default is
     [No_collision_detection] as in [2].
 
-    [domains], when given, runs the round loop on {!Engine_sharded} with
-    that shard count — bit-identical results to the serial default for any
-    [domains ≥ 1] (the protocol's callbacks touch only per-node state; the
-    completion count is atomic).  This is the E-scale workload.
-
-    [engine] (default [Sparse]) picks the serial round path when [domains]
-    is absent: {!Engine_sparse.run} elides the per-round silence
-    deliveries (Decay ignores them), [Dense] is the {!Engine.run}
-    reference.  Identical results either way; no skip hint is offered
-    because informed nodes draw a coin every round.
+    [domains] (default [1]) is the engine's shard count ({!Engine.run}) —
+    bit-identical results for any [domains ≥ 1] (the protocol's callbacks
+    touch only per-node state; the completion count is atomic).  This is
+    the E-scale workload.  No skip hint is offered because informed nodes
+    draw a coin every round.
 
     [metrics], when given, records every round into the registry with the
     phase annotation [round / ladder] (Lemma 2.2's unit — set from

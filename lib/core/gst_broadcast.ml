@@ -27,8 +27,8 @@ let slow_exponent ~clogn ~level_or_vd ~round =
 type msg = Data of Rlnc.packet
 
 let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
-    ?step_reset ?faults ?max_rounds ?(params = Params.default)
-    ?(engine = Engine.Sparse) ?metrics ~rng ~gst ~vd ~msgs ~sources () =
+    ?step_reset ?faults ?max_rounds ?(params = Params.default) ?metrics ~rng
+    ~gst ~vd ~msgs ~sources () =
   let graph = gst.Gst.graph in
   let n = Graph.n graph in
   let k = Array.length msgs in
@@ -213,9 +213,9 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
      there).  Jammers transmit in arbitrary rounds, so fault injection
      disables the hint. *)
   let next_busy_round =
-    match (faults, engine) with
-    | Some _, _ | _, Engine.Dense -> None
-    | None, Engine.Sparse ->
+    match faults with
+    | Some _ -> None
+    | None ->
         let period = 6 * clogn in
         let busy = Array.make period false in
         Array.iteri
@@ -245,16 +245,9 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
   let stats = Engine.fresh_stats () in
   let stop ~round:_ = Atomic.get missing = 0 in
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ?after_round ?decide_active ~stats ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds
-          ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ?after_round ?decide_active
-          ?next_busy_round ~stats ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds
-          ()
+    Engine.run ?metrics ?after_round ?decide_active ?next_busy_round ~stats
+      ~graph ~detection:Engine.No_collision_detection ~protocol ~stop
+      ~max_rounds ()
   in
   let payloads_ok =
     let ok = ref true in

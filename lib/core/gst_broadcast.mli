@@ -49,7 +49,6 @@ val run :
   ?faults:Faults.spec ->
   ?max_rounds:int ->
   ?params:Params.t ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
   gst:Gst.t ->
@@ -78,20 +77,15 @@ val run :
     step w.h.p., so completion survives with buffers bounded by one step's
     receptions; sources (who hold the originals) never reset.
 
-    [engine] (default [Sparse]) selects the round path.  Under [Sparse]
-    the run also hands {!Engine_sparse.run} a [next_busy_round] hint built
-    from the two transmission schedules' residue classes (fast slots mod
+    The run hands {!Engine.run} a [next_busy_round] hint built from the
+    two transmission schedules' residue classes (fast slots mod
     [6·⌈log n⌉], slow slots mod 6), fast-forwarding rounds in which no
     forest node is in either slot — such rounds are all-Listen with no RNG
-    draw, so results are identical to [Dense].  Fault injection disables
-    the hint (jammers transmit in arbitrary rounds) but keeps the sparse
-    delivery path. *)
+    draw, so results are identical to the engine's reference probe.  Fault
+    injection disables the hint (jammers transmit in arbitrary rounds). *)
 
 val fast_slot : clogn:int -> level:int -> rank:int -> round:int -> bool
 (** Exposed for tests: the deterministic fast-slot predicate. *)
 
 val slow_slot : level_or_vd:int -> round:int -> bool
 (** Exposed for tests: the slow-slot predicate (before the coin flip). *)
-
-val slow_exponent : clogn:int -> level_or_vd:int -> round:int -> int
-(** The Decay exponent used in a slow slot. *)

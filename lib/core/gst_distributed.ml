@@ -25,7 +25,7 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Phase 2: level-pair assignments *)
 
-let run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels () =
+let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
   let n = Graph.n graph in
   let scale_n = n in
   let depth = Bfs.max_level levels in
@@ -199,13 +199,8 @@ let run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels () =
     let protocol = { Engine.decide; deliver } in
     let stop ~round:_ = all_done () in
     let outcome =
-      match engine with
-      | Engine.Dense ->
-          Engine.run ~graph ~detection ~protocol ~after_round ~stop
-            ~max_rounds ()
-      | Engine.Sparse ->
-          Engine_sparse.run ~decide_active ~next_busy_round ~graph ~detection
-            ~protocol ~after_round ~stop ~max_rounds ()
+      Engine.run ~decide_active ~next_busy_round ~graph ~detection ~protocol
+        ~after_round ~stop ~max_rounds ()
     in
     let rounds =
       match outcome with
@@ -236,7 +231,7 @@ let run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels () =
 (* ------------------------------------------------------------------ *)
 (* Phase 3: wave-safety self-test *)
 
-let run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks () =
+let run_selftest ~detection ~graph ~levels ~parents ~ranks () =
   let n = Graph.n graph in
   let max_rank = Array.fold_left max 0 ranks in
   let safe = Array.make n true in
@@ -267,63 +262,60 @@ let run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks () =
     | Engine.Received _ | Engine.Silence | Engine.Collision ->
         safe.(node) <- false
   in
-  (* rblint:allow R11 Silence-means-unsafe is this protocol's semantics; the rank/class schedule guarantees every listener has a transmitting parent in-neighborhood, so no genuinely silent round ever reaches a listener (see the sparse-path comment below). *)
+  (* rblint:allow R11 Silence-means-unsafe is this protocol's semantics; the rank/class schedule guarantees every listener has a transmitting parent in-neighborhood, so no genuinely silent round ever reaches a listener (see the delivery comment below). *)
   let protocol = { Engine.decide; deliver } in
   let stop ~round:_ = false in
   (* Only rank-r nodes act in the three rounds of rank r; group ids by
      rank once.  A listener's parent shares its rank and transmits in the
      same round (level class l−1), so every listener is inside a
      transmitter's neighborhood — the Silence-means-unsafe deliver never
-     fires on an untouched listener, making the sparse path safe even
-     though this deliver is *not* silence-neutral.  Rounds whose
+     fires on an untouched listener, making touched-only delivery safe
+     even though this deliver is *not* silence-neutral.  Rounds whose
      (rank, class) slice holds no node have no transmitters and therefore
      no listeners either (a listener's parent would populate the slice),
      so they can be fast-forwarded from a static table. *)
   let outcome =
-    match engine with
-    | Engine.Dense -> Engine.run ~graph ~detection ~protocol ~stop ~max_rounds:total ()
-    | Engine.Sparse ->
-        let rank_count = Array.make (max_rank + 1) 0 in
-        Array.iteri
-          (fun v l -> if l >= 0 && ranks.(v) >= 1 then
-              rank_count.(ranks.(v)) <- rank_count.(ranks.(v)) + 1)
-          levels;
-        let rank_nodes =
-          Array.map (fun c -> Array.make (max c 1) 0) rank_count
-        in
-        let fill = Array.make (max_rank + 1) 0 in
-        Array.iteri
-          (fun v l ->
-            if l >= 0 && ranks.(v) >= 1 then begin
-              let r = ranks.(v) in
-              rank_nodes.(r).(fill.(r)) <- v;
-              fill.(r) <- fill.(r) + 1
-            end)
-          levels;
-        let slice_count = Array.make (max (3 * (max_rank + 1)) 1) 0 in
-        Array.iteri
-          (fun v l ->
-            if l >= 0 && ranks.(v) >= 1 then begin
-              let i = (3 * ranks.(v)) + (l mod 3) in
-              slice_count.(i) <- slice_count.(i) + 1
-            end)
-          levels;
-        let decide_active ~round (buf : int array) =
-          let r = (round / 3) + 1 in
-          let nodes = rank_nodes.(r) and count = rank_count.(r) in
-          Array.blit nodes 0 buf 0 count;
-          count
-        in
-        let next_busy_round ~round =
-          let rec go r =
-            if r >= total then total
-            else if slice_count.((3 * ((r / 3) + 1)) + (r mod 3)) > 0 then r
-            else go (r + 1)
-          in
-          go round
-        in
-        Engine_sparse.run ~decide_active ~next_busy_round ~graph ~detection
-          ~protocol ~stop ~max_rounds:total ()
+    let rank_count = Array.make (max_rank + 1) 0 in
+    Array.iteri
+      (fun v l -> if l >= 0 && ranks.(v) >= 1 then
+          rank_count.(ranks.(v)) <- rank_count.(ranks.(v)) + 1)
+      levels;
+    let rank_nodes =
+      Array.map (fun c -> Array.make (max c 1) 0) rank_count
+    in
+    let fill = Array.make (max_rank + 1) 0 in
+    Array.iteri
+      (fun v l ->
+        if l >= 0 && ranks.(v) >= 1 then begin
+          let r = ranks.(v) in
+          rank_nodes.(r).(fill.(r)) <- v;
+          fill.(r) <- fill.(r) + 1
+        end)
+      levels;
+    let slice_count = Array.make (max (3 * (max_rank + 1)) 1) 0 in
+    Array.iteri
+      (fun v l ->
+        if l >= 0 && ranks.(v) >= 1 then begin
+          let i = (3 * ranks.(v)) + (l mod 3) in
+          slice_count.(i) <- slice_count.(i) + 1
+        end)
+      levels;
+    let decide_active ~round (buf : int array) =
+      let r = (round / 3) + 1 in
+      let nodes = rank_nodes.(r) and count = rank_count.(r) in
+      Array.blit nodes 0 buf 0 count;
+      count
+    in
+    let next_busy_round ~round =
+      let rec go r =
+        if r >= total then total
+        else if slice_count.((3 * ((r / 3) + 1)) + (r mod 3)) > 0 then r
+        else go (r + 1)
+      in
+      go round
+    in
+    Engine.run ~decide_active ~next_busy_round ~graph ~detection ~protocol
+      ~stop ~max_rounds:total ()
   in
   let head_override = Array.init n (fun v -> listens.(v) && not safe.(v)) in
   (head_override, Engine.rounds_of_outcome outcome)
@@ -331,7 +323,7 @@ let run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks () =
 (* ------------------------------------------------------------------ *)
 (* Phase 4: virtual-distance learning (Lemma 3.10) *)
 
-let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
+let run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
     ~parent_rank ~head_override () =
   let n = Graph.n graph in
   let scale_n = n in
@@ -362,12 +354,8 @@ let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
       ~max_rounds () =
     let protocol = { Engine.decide; deliver } in
     let outcome =
-      match engine with
-      | Engine.Dense ->
-          Engine.run ~graph ~detection ~protocol ~stop ~max_rounds ()
-      | Engine.Sparse ->
-          Engine_sparse.run ?decide_active ?next_busy_round ~graph ~detection
-            ~protocol ~stop ~max_rounds ()
+      Engine.run ?decide_active ?next_busy_round ~graph ~detection ~protocol
+        ~stop ~max_rounds ()
     in
     total_rounds := !total_rounds + Engine.rounds_of_outcome outcome
   in
@@ -519,7 +507,7 @@ let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
 
 let construct ?(mode = Pipelined) ?(layering = Decay_layering)
     ?(learn_vd = false) ?(params = Params.default)
-    ?(detection = Engine.No_collision_detection) ?(engine = Engine.Sparse)
+    ?(detection = Engine.No_collision_detection)
     ~rng ~graph ~roots () =
   let n = Graph.n graph in
   let levels, layering_rounds =
@@ -530,26 +518,26 @@ let construct ?(mode = Pipelined) ?(layering = Decay_layering)
         (levels, 0)
     | Decay_layering ->
         let r =
-          Layering.decay_bfs ~params ~engine ~rng:(Rng.split rng) ~graph
+          Layering.decay_bfs ~params ~rng:(Rng.split rng) ~graph
             ~sources:roots ()
         in
         (r.Layering.levels, r.Layering.rounds)
     | Collision_wave_layering ->
-        (* The wave is D deterministic all-transmit rounds; it stays on the
-           dense reference engine (no sparsity to exploit). *)
+        (* The wave is D deterministic all-transmit rounds: no active set
+           or skip hint to offer. *)
         let r = Layering.collision_wave ~graph ~sources:roots () in
         (r.Layering.levels, r.Layering.rounds)
   in
   let parents, ranks, parent_rank, assignment_rounds, class_fixups,
       fallback_reactivations =
-    run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels ()
+    run_assignment ~mode ~params ~detection ~rng ~graph ~levels ()
   in
   let head_override, selftest_rounds =
-    run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks ()
+    run_selftest ~detection ~graph ~levels ~parents ~ranks ()
   in
   let vd, vd_rounds =
     if learn_vd then
-      run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
+      run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
         ~parent_rank ~head_override ()
     else (Array.make n (-1), 0)
   in

@@ -61,7 +61,6 @@ val construct :
   ?learn_vd:bool ->
   ?params:Params.t ->
   ?detection:Engine.detection ->
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   roots:int array ->
@@ -72,15 +71,16 @@ val construct :
     construction never needs CD; pass [Collision_wave_layering] together
     with [Collision_detection] for the Theorem 1.1 pipeline).
 
-    [engine] (default [Sparse]) selects the round path for every phase.
-    Under [Sparse] the assignment phase wakes only the level pairs of
+    Every phase hands the engine an active set and a skip hint: the
+    assignment phase wakes only the level pairs of
     live bipartite blocks (a dormant — [Waiting] or finished — block's
     nodes all sleep) and fast-forwards rounds whose mod-3 slot has no
     live block; the self-test wakes one rank group per round and skips
     empty (rank, layer-class) slices; vd-learning wakes the sweeping
     level pair (stage 1, skipping levels with no potential transmitter)
-    or the relaxation candidates (stage 2).  Results are identical to
-    [Dense]: every excluded node's decide is a side-effect-free [Sleep],
-    and every skipped round is provably silent — per-node RNG streams
-    advance exactly as under the full scan (DESIGN.md §12).
+    or the relaxation candidates (stage 2).  Results are identical to the
+    engine's reference probe ({!Rn_radio.Engine.reference_mode}): every
+    excluded node's decide is a side-effect-free [Sleep], and every
+    skipped round is provably silent — per-node RNG streams advance
+    exactly as under the full scan (DESIGN.md §10).
     @raise Failure if a phase exhausts its round budget. *)

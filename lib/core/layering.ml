@@ -4,8 +4,7 @@ open Rn_radio
 
 type result = { levels : int array; rounds : int; stats : Engine.stats }
 
-let decay_bfs ?(params = Params.default) ?max_rounds
-    ?(engine = Engine.Sparse) ~rng ~graph ~sources () =
+let decay_bfs ?(params = Params.default) ?max_rounds ~rng ~graph ~sources () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
   let epoch_len = Params.whp_phases params ~n * ladder in
@@ -47,14 +46,8 @@ let decay_bfs ?(params = Params.default) ?max_rounds
   (* finish on epoch boundary; no skip hint — labeled nodes draw a coin
      every round, so no round is statically silent. *)
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ~stats ~graph ~detection:Engine.No_collision_detection
-          ~protocol ~stop ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ~stats ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds
-          ()
+    Engine.run ~stats ~graph ~detection:Engine.No_collision_detection
+      ~protocol ~stop ~max_rounds ()
   in
   { levels; rounds = Engine.rounds_of_outcome outcome; stats }
 

@@ -25,7 +25,6 @@ type result = {
 val decay_bfs :
   ?params:Params.t ->
   ?max_rounds:int ->
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   sources:int array ->

@@ -31,7 +31,6 @@ val known :
   ?params:Params.t ->
   ?msg_len:int ->
   ?slow_key:Gst_broadcast.slow_key ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
@@ -39,9 +38,8 @@ val known :
   unit ->
   known_result
 (** Theorem 1.2.  [msg_len] defaults to 32 bits of random payload per
-    message.  [engine] (default [Sparse]) selects the round path of the
-    GST dissemination (see {!Gst_broadcast.run}); results are identical
-    either way. *)
+    message.  The GST dissemination offers the engine an active set and
+    a skip hint (see {!Gst_broadcast.run}). *)
 
 type unknown_result = {
   rounds_total : int;
@@ -61,7 +59,6 @@ val unknown :
   ?rings:Single_broadcast.ring_choice ->
   ?batch_size:int ->
   ?estimate_diameter:bool ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
@@ -71,8 +68,8 @@ val unknown :
 (** Theorem 1.3.  [batch_size] defaults to [⌈log n⌉];
     [estimate_diameter = true] sizes rings from the footnote-2 beep-wave
     2-approximation instead of the exact depth (no knowledge of [D]
-    assumed).  [engine] (default [Sparse]) selects the round path of
-    construction, in-ring RLNC dissemination and FEC handoffs; results
-    are identical either way (DESIGN.md §12). *)
+    assumed).  Construction, in-ring RLNC dissemination and FEC handoffs
+    all offer the engine active sets (and, where sound, skip hints);
+    results are identical under its reference probe (DESIGN.md §10). *)
 
 val random_messages : Rng.t -> k:int -> msg_len:int -> Bitvec.t array

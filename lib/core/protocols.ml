@@ -29,11 +29,10 @@ let decay_entry =
     multi = false;
     traceable = true;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = true; offers_hint = false };
     run =
-      (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Decay.broadcast ?engine ?metrics ~rng ~graph ~source () in
+        let r = Decay.broadcast ?metrics ~rng ~graph ~source () in
         {
           Registry.rounds = Engine.rounds_of_outcome r.Decay.outcome;
           delivered = all_received r.Decay.received_round;
@@ -48,13 +47,12 @@ let cr_entry =
     multi = false;
     traceable = true;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = false };
     run =
-      (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let diameter = Bfs.eccentricity graph source in
         let r =
-          Baselines.cr_broadcast ?engine ?metrics ~rng ~graph ~source ~diameter ()
+          Baselines.cr_broadcast ?metrics ~rng ~graph ~source ~diameter ()
         in
         {
           Registry.rounds = Engine.rounds_of_outcome r.Decay.outcome;
@@ -70,9 +68,8 @@ let mmv_entry =
     multi = false;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
-      (fun ?k:_ ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let levels = Bfs.levels graph ~src:source in
         let r = Decay.mmv_broadcast ~rng ~graph ~levels ~source () in
@@ -90,15 +87,14 @@ let gst_entry =
     multi = false;
     traceable = true;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
-      (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let gst = Gst.build_centralized ~graph ~roots:[| source |] () in
         let vd = Gst.virtual_distances gst in
         let msgs = [| Bitvec.random rng 32 |] in
         let r =
-          Gst_broadcast.run ?engine ?metrics ~rng ~gst ~vd ~msgs
+          Gst_broadcast.run ?metrics ~rng ~gst ~vd ~msgs
             ~sources:[| source |] ()
         in
         {
@@ -120,11 +116,10 @@ let thm11_entry =
        (rblint:allow R11 in gst_distributed.ml), so spurious Silence
        injection legitimately perturbs this pipeline. *)
     silence_pure = false;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
-      (fun ?k:_ ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Single_broadcast.run ?engine ~rng ~graph ~source () in
+        let r = Single_broadcast.run ~rng ~graph ~source () in
         {
           Registry.rounds = r.Single_broadcast.rounds_total;
           delivered = r.Single_broadcast.delivered;
@@ -145,9 +140,8 @@ let estimate_entry =
     multi = false;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
-      (fun ?k:_ ?engine:_ ?metrics:_ ~seed:_ ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed:_ ~graph ~source () ->
         let r = Diameter_estimate.run ~graph ~source () in
         {
           Registry.rounds = r.Diameter_estimate.rounds;
@@ -168,12 +162,11 @@ let gst_dist_entry =
     traceable = false;
     (* Same self-test caveat as thm11. *)
     silence_pure = false;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
-      (fun ?k:_ ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let r =
-          Gst_distributed.construct ?engine ~learn_vd:true ~rng ~graph
+          Gst_distributed.construct ~learn_vd:true ~rng ~graph
             ~roots:[| source |] ()
         in
         {
@@ -199,11 +192,10 @@ let known_entry =
     multi = true;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
-      (fun ?k ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Multi_broadcast.known ?engine ~rng ~graph ~source ~k:(k_or k) () in
+        let r = Multi_broadcast.known ~rng ~graph ~source ~k:(k_or k) () in
         {
           Registry.rounds = r.Multi_broadcast.rounds;
           delivered = r.Multi_broadcast.delivered;
@@ -219,11 +211,10 @@ let unknown_entry =
     traceable = false;
     (* Uses the distributed GST construction; see thm11. *)
     silence_pure = false;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
-      (fun ?k ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Multi_broadcast.unknown ?engine ~rng ~graph ~source ~k:(k_or k) () in
+        let r = Multi_broadcast.unknown ~rng ~graph ~source ~k:(k_or k) () in
         {
           Registry.rounds = r.Multi_broadcast.rounds_total;
           delivered = r.Multi_broadcast.delivered;
@@ -244,9 +235,8 @@ let routing_entry =
     multi = true;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
-      (fun ?k ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let r = Baselines.routing_multi ~rng ~graph ~source ~k:(k_or k) () in
         {
@@ -263,9 +253,8 @@ let sequential_entry =
     multi = true;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
-      (fun ?k ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let r = Baselines.sequential_multi ~rng ~graph ~source ~k:(k_or k) () in
         {

@@ -160,7 +160,7 @@ let deliver t ~node reception =
                       (* The red might not have heard this blue; its class is
                          already Many by construction of Sigma. *)
                       let rs = Hashtbl.find t.red_st red in
-                      (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block and is never driven by Engine_sharded. *)
+                      (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block and never runs with domains > 1. *)
                       if rs.recruits < 2 then rs.recruits <- 2
                     end
                 | _ -> ())))
@@ -224,8 +224,8 @@ type outcome = {
   classes_consistent : bool;
 }
 
-let run_standalone ?(detection = Engine.No_collision_detection)
-    ?(engine = Engine.Sparse) ?metrics ~rng ~params ~graph ~reds ~blues () =
+let run_standalone ?(detection = Engine.No_collision_detection) ?metrics ~rng
+    ~params ~graph ~reds ~blues () =
   let t = create ~rng ~params ~scale_n:(Graph.n graph) ~graph ~reds ~blues () in
   (* rblint:allow R14 internal Lemma-6 driver: a serial building block of the assignment phase, reachable from registered pipelines only through Bipartite_assignment; not a user-facing protocol. *)
   let protocol =
@@ -275,13 +275,8 @@ let run_standalone ?(detection = Engine.No_collision_detection)
   let stop ~round:_ = finished t in
   let max_rounds = t.total_rounds + 1 in
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ~graph ~detection ~protocol ~after_round ~stop
-          ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ~decide_active ~graph ~detection ~protocol
-          ~after_round ~stop ~max_rounds ()
+    Engine.run ?metrics ~decide_active ~graph ~detection ~protocol
+      ~after_round ~stop ~max_rounds ()
   in
   let rounds = Engine.rounds_of_outcome outcome in
   let recruited =

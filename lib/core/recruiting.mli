@@ -95,7 +95,6 @@ type outcome = {
 
 val run_standalone :
   ?detection:Engine.detection ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
   params:Params.t ->

@@ -42,7 +42,7 @@ type handoff_result = { rounds : int; delivered : bool }
 (* Shared Decay loop for both handoff flavours: [payload] builds the packet
    a holder sends when its coin comes up; [receive] consumes a clean
    reception and returns true once that receiver is satisfied. *)
-let decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers ~payload
+let decay_handoff ~params ~rng ~graph ~holders ~receivers ~payload
     ~receive ~satisfied () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
@@ -99,26 +99,20 @@ let decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers ~payload
     count
   in
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ~graph ~detection:Engine.No_collision_detection ~protocol
-          ~stop ~max_rounds:budget ()
-    | Engine.Sparse ->
-        Engine_sparse.run ~decide_active ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop
-          ~max_rounds:budget ()
+    Engine.run ~decide_active ~graph ~detection:Engine.No_collision_detection
+      ~protocol ~stop ~max_rounds:budget ()
   in
   {
     rounds = Engine.rounds_of_outcome outcome;
     delivered = (match outcome with Engine.Completed _ -> true | _ -> false);
   }
 
-let handoff_single ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
+let handoff_single ?(params = Params.default) ~rng
     ~graph ~holders ~receivers () =
   if Array.length holders = 0 then { rounds = 0; delivered = false }
   else begin
     let got = Array.make (Graph.n graph) false in
-    decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers
+    decay_handoff ~params ~rng ~graph ~holders ~receivers
       ~payload:(fun _ -> Cmsg.Beacon)
       ~receive:(fun v _ ->
         got.(v) <- true;
@@ -129,7 +123,7 @@ let handoff_single ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
 
 type fec_msg = Fec_packet of Rlnc.packet
 
-let handoff_fec ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
+let handoff_fec ?(params = Params.default) ~rng
     ~graph ~holders ~receivers ~msgs () =
   let k = Array.length msgs in
   if k = 0 then invalid_arg "Rings.handoff_fec: empty batch";
@@ -140,7 +134,7 @@ let handoff_fec ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
     let fec_rng = Rng.split_n rng n in
     let decoders = Array.init n (fun _ -> Rlnc.create ~k ~msg_len) in
     let result =
-      decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers
+      decay_handoff ~params ~rng ~graph ~holders ~receivers
         ~payload:(fun v ->
           (* Fresh random combination per transmission — RLNC-grade FEC,
              at least as decodable as the paper's fixed Θ(k′) codebook. *)

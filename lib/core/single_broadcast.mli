@@ -40,7 +40,6 @@ val run :
   ?params:Params.t ->
   ?construction_mode:Gst_distributed.mode ->
   ?estimate_diameter:bool ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
@@ -49,13 +48,12 @@ val run :
 (** Requires a connected graph; every node must end up with the message
     ([delivered] reports it, and [received] the per-node outcome).
 
-    [engine] (default [Sparse]) selects the round path for every phase of
-    the pipeline — construction, in-ring GST broadcasts and boundary
-    handoffs all run on {!Rn_radio.Engine_sparse} with frontier active
-    sets and silent-round skipping; pass [Dense] for the reference
-    full-scan path.  Outcomes, round counts and statistics are identical
-    either way (DESIGN.md §12); only the collision wave stays dense (it
-    is [D] rounds with every awake node acting).
+    Construction, in-ring GST broadcasts and boundary handoffs all hand
+    {!Rn_radio.Engine.run} frontier active sets and, where sound,
+    silent-round skip hints; only the collision wave scans every node (it
+    is [D] rounds with every awake node acting).  Outcomes, round counts
+    and statistics are identical under the engine's reference probe
+    (DESIGN.md §10).
 
     With [estimate_diameter = true] the run starts with the footnote-2
     beep-wave estimator ({!Diameter_estimate}), sizes the rings from the

@@ -225,9 +225,9 @@ let induced_bipartite g ~left ~right =
 
 (* The adjacency matrix of an undirected graph is symmetric, so the CSR
    arrays are their own reverse-adjacency (CSC) view: the in-edges of [v]
-   are exactly its out-edges.  The sharded engine iterates these under the
-   gather-side name; exposing them as O(1) aliases documents the intent
-   without copying 2m ints. *)
+   are exactly its out-edges.  Exposing them as O(1) aliases under the
+   gather-side name documents a pull loop's intent without copying 2m
+   ints. *)
 let csc_offsets t = t.off
 let csc_targets t = t.tgt
 

@@ -79,9 +79,7 @@ val csc_targets : t -> int array
     The graph is undirected, so its adjacency matrix is symmetric and the
     CSR arrays are their own CSC — these are O(1) aliases of
     {!offsets}/{!targets}, exposed under the gather-side name for readers
-    of pull-model loops (the sharded engine iterates the in-edges of its
-    own listeners so that every write stays shard-local).  Do not
-    mutate. *)
+    of pull-model loops.  Do not mutate. *)
 
 val shard_cuts : ?align:int -> t -> parts:int -> int array
 (** [shard_cuts t ~parts] partitions the node range into [parts] contiguous
@@ -90,8 +88,8 @@ val shard_cuts : ?align:int -> t -> parts:int -> int array
     shard [k] owns nodes [\[cuts.(k), cuts.(k+1))].  Balance weights each
     node as [1 + degree], matching a decide scan plus a gather sweep.
     [align] (default 1) forces every interior cut onto a multiple of
-    [align] — the sharded engine aligns cuts to the bit-vector word size so
-    no two shards ever touch the same word.  Cuts may coincide (empty
+    [align] — [Engine.run ~domains] aligns cuts to the bit-vector word
+    size, which keeps its shard layout stable across revisions.  Cuts may coincide (empty
     shards) when [parts > n] or alignment collapses them.
     @raise Invalid_argument if [parts < 1] or [align < 1]. *)
 

@@ -3,13 +3,8 @@
     Every function returns strings — nothing here prints (rblint R4);
     bench/ and bin/ own the consoles and files.  Field order and number
     formatting are fixed, so equal registries produce byte-identical
-    output — the property the sharded-vs-serial equivalence tests and the
-    ES bench checks compare. *)
-
-val round_row :
-  round:int -> phase:int -> transmissions:int -> deliveries:int ->
-  collisions:int -> string
-(** One JSONL object for a single round. *)
+    output — the property the engine's differential suite and the ES bench
+    checks compare. *)
 
 val round_jsonl : Metrics.t -> string list
 (** One line per retained round, chronological (oldest first).  Runs

@@ -8,9 +8,9 @@
    loop without breaking the 0-word quiet-round budget (test/test_alloc.ml).
 
    Determinism contract: recording happens only from coordinator-serial
-   code (the serial engine's round tail, the sharded engine's post-barrier
-   merge), with values that are themselves deterministic (the sharded
-   engine merges owner-local lane counters in fixed shard order).  Exported
+   code (the engine's post-barrier merge), with values that are themselves
+   deterministic (owner-local lane counters merged in fixed shard
+   order).  Exported
    output is therefore byte-identical for every domain count. *)
 
 type t = {

@@ -10,8 +10,8 @@
     test/test_alloc.ml.
 
     Determinism: recording happens only from coordinator-serial code (the
-    serial engine's round tail; the sharded engine's post-barrier merge of
-    owner-local lane counters, walked in fixed shard order), so exported
+    engine's post-barrier merge of owner-local lane counters, walked in
+    fixed shard order), so exported
     output is byte-identical for every domain count — see DESIGN §11. *)
 
 type t
@@ -43,8 +43,8 @@ val record_round :
   unit
 (** Record one simulated round under the current phase: bumps run totals,
     the current phase's aggregates, and appends to the ring buffer.
-    Called once per round by [Engine.run]/[Engine_sharded.run] when the
-    run is given [?metrics]. *)
+    Called once per round by [Engine.run] when the run is given
+    [?metrics]. *)
 
 val observe_receive_round : t -> int -> unit
 (** [observe_receive_round t r] adds one observation to the receive-round

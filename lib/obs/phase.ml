@@ -3,9 +3,9 @@
    recruiting iteration, bipartite epoch).
 
    Annotation must happen from coordinator-serial code — protocol [decide]
-   and [deliver] callbacks run inside shard lanes under Engine_sharded, so
-   phase changes belong in [after_round] hooks (serial in both engines) or
-   between runs.  All annotators in lib/core follow this rule; it is what
+   and [deliver] callbacks run inside shard lanes under [Engine.run
+   ~domains], so phase changes belong in [after_round] hooks (always
+   coordinator-serial) or between runs.  All annotators in lib/core follow this rule; it is what
    keeps exported output byte-identical across domain counts. *)
 
 let enter m p = Metrics.set_phase m p [@@zero_alloc_hot]

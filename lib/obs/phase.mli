@@ -4,8 +4,8 @@
     recruiting iteration, bipartite epoch) so counters aggregate per paper
     phase.  Annotate only from coordinator-serial code — [after_round]
     hooks or between runs, never from [decide]/[deliver] (those run inside
-    shard lanes under [Engine_sharded] and would break the byte-identity
-    contract). *)
+    shard lanes under [Engine.run ~domains] and would break the
+    byte-identity contract). *)
 
 val enter : Metrics.t -> int -> unit
 (** [enter m p] makes [p] the current phase.  Out-of-range ids clamp. *)

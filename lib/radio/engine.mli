@@ -72,36 +72,30 @@ val total_simulated_rounds : unit -> int
     (across all domains; the counter is atomic).  The bench harness reads
     the delta around an experiment to report rounds/sec. *)
 
-val add_simulated_rounds : int -> unit
-(** Credit rounds to the process-wide tally.  For alternate engine front
-    ends ({!Engine_sharded}) that simulate rounds without going through
-    [run]; protocols and benches never call this. *)
-
 val total_skipped_rounds : unit -> int
-(** Rounds fast-forwarded process-wide by {!Engine_sparse}'s silent-round
-    skip.  Disjoint from {!total_simulated_rounds}: a round is counted in
-    exactly one of the two tallies, so honest throughput is
+(** Rounds fast-forwarded process-wide by the silent-round skip
+    ([next_busy_round]).  Disjoint from {!total_simulated_rounds}: a round
+    is counted in exactly one of the two tallies, so honest throughput is
     [simulated / wall] and a bench can report the skipped volume
     separately.  Protocol-visible state ([stats.rounds], metrics rows,
     [after_round] calls) does not distinguish the two. *)
 
-val add_skipped_rounds : int -> unit
-(** Credit fast-forwarded rounds.  For engine front ends only. *)
-
-type mode = Dense | Sparse
-(** Which round path a protocol wrapper should drive: [Dense] is {!run}
-    (the reference full-scan engine), [Sparse] is {!Engine_sparse.run}.
-    Wrappers default to [Sparse]; benches pass [Dense] to time or verify
-    against the reference. *)
-
 val inject_silence : bool Atomic.t
-(** Debug probe for the contracts suite: when set, {!run} (and
-    {!Engine_sparse.run}) delivers one spurious [Silence] to every listener
-    before its real reception of the round.  A protocol honouring the R11
-    silence-purity contract (DESIGN.md §13) produces byte-identical results
-    either way — [test/test_contracts.ml] asserts exactly that for every
-    registered pipeline.  Read once per run; defaults to [false], in which
-    case the engine behaves identically to previous releases. *)
+(** Debug probe for the contracts suite: when set, {!run} delivers one
+    spurious [Silence] to every listener before its real reception of the
+    round (if any).  A protocol honouring the R11 silence-purity contract
+    (DESIGN.md §13) produces byte-identical results either way —
+    [test/test_contracts.ml] asserts exactly that for every registered
+    pipeline.  Read once per run; defaults to [false]. *)
+
+val reference_mode : bool Atomic.t
+(** Debug probe restoring the reference semantics: when set, {!run}
+    ignores [decide_active] (full decide scan) and [next_busy_round] (no
+    skip), and delivers [Silence] to every listener nobody reached — the
+    observable behaviour of the seed list-based engine, deliver order
+    included.  The bench's reference rows and the differential suite
+    ([test/test_engine_equiv.ml]) run under it.  Read once per run;
+    defaults to [false]. *)
 
 val run :
   ?stats:stats ->
@@ -109,7 +103,9 @@ val run :
   ?on_round:(round:int -> 'msg trace_event list -> unit) ->
   ?after_round:(round:int -> unit) ->
   ?decide_active:(round:int -> int array -> int) ->
+  ?next_busy_round:(round:int -> int) ->
   ?validate:bool ->
+  ?domains:int ->
   graph:Rn_graph.Graph.t ->
   detection:detection ->
   protocol:'msg protocol ->
@@ -119,24 +115,28 @@ val run :
   outcome
 (** [run ~graph ~detection ~protocol ~stop ~max_rounds ()] simulates rounds
     until [stop ~round] holds (checked before each round) or [max_rounds]
-    rounds have been simulated.  [metrics], when given, receives one
-    [Rn_obs.Metrics.record_round] call at the end of every simulated round
-    (this round's transmissions/deliveries/collisions, attributed to the
-    registry's current phase) — pure int mutation, so the quiet-round
-    0-word budget still holds; protocols annotate phase boundaries from
-    [after_round] (see [Rn_obs.Phase]).  [on_round], when given, receives every
-    transmit/receive event of the round (including sleep-free listens that
-    heard silence) — intended for examples and debugging, not benchmarks.
-    [after_round] is a cheap per-round hook (no event capture) called after
-    all deliveries of a round; protocol state machines use it to advance
-    phase counters.
+    rounds have been simulated.
 
-    [validate] (default [false]) additionally enforces the documented
-    transmit-buffer contract of [decide_active] — the ids of a round must be
-    distinct — raising [Invalid_argument] naming the offending id and round.
-    The distinctness scan costs one array read/write per active id and one
-    length-[n] allocation per run, so it is reserved for tests (the QCheck
-    equivalence suites enable it); the in-range check below is always on.
+    {b Deliveries.}  Only listeners inside a transmitter's neighborhood
+    receive a [deliver] call: an untouched listener would have heard
+    [Silence], and every protocol here treats such a delivery as a no-op
+    (the R11 silence-purity contract, DESIGN.md §13).  Under
+    [No_collision_detection] a collided listener still gets its [Silence].
+    Within a round, listeners are delivered in descending decide order —
+    the reference engine's order restricted to the touched listeners.  When
+    [on_round] is set or {!reference_mode} is on, every listener is
+    delivered, silent ones included.
+
+    [metrics], when given, receives one [Rn_obs.Metrics.record_round] call
+    at the end of every round (this round's transmissions/deliveries/
+    collisions, attributed to the registry's current phase) — pure int
+    mutation, so the quiet-round 0-word budget still holds; protocols
+    annotate phase boundaries from [after_round] (see [Rn_obs.Phase]).
+    [on_round], when given, receives every transmit/receive event of the
+    round — intended for examples and debugging, not benchmarks; it
+    disables the skip.  [after_round] is a cheap per-round hook called
+    after all deliveries of a round; protocol state machines use it to
+    advance phase counters.
 
     [decide_active], when given, replaces the every-node decide scan: each
     round the engine hands it a reusable buffer of length [n]; the protocol
@@ -144,20 +144,44 @@ val run :
     length, and [decide] is then called on exactly those nodes (in buffer
     order) — every other node implicitly [Sleep]s that round.  The ids of a
     round must be distinct and in [\[0, n)] (distinctness is the protocol's
-    obligation; a duplicated id would act twice).  This lets schedules where
-    only one layer or ring is awake — Decay waves, GST stretches — simulate
-    a round in O(|active|) instead of O(n).
-    @raise Invalid_argument on an out-of-range id or count.
+    obligation; a duplicated id would act twice).  [validate] (default
+    [false]) enforces distinctness, raising [Invalid_argument] naming the
+    offending id and round; it costs one array read/write per active id and
+    one length-[n] allocation per run, so it is reserved for tests, and it
+    checks the whole prefix before any [decide] call of the round.  The
+    in-range check is always on.
 
-    The engine allocates only its fixed per-run scratch (a few int arrays of
-    length [n]); the round loop itself is allocation-free apart from the
-    [Transmit] packets protocols return (stored by reference, never
-    re-wrapped), the [Received] wrappers handed to successful listeners, and,
-    when [on_round] is set, the trace events.  [test/test_alloc.ml] enforces
-    this budget under [Gc.minor_words]; rblint rule R5 (see DESIGN.md §8)
-    statically rejects list traversals inside the [@@zero_alloc_hot]-tagged
-    loop.
+    [next_busy_round ~round] returns the earliest round [>= round] in which
+    some node {e may} transmit; every round strictly before it is
+    fast-forwarded without calling [decide].  A skipped round still checks
+    [stop], increments [stats.rounds], records a zero metrics row and fires
+    [after_round], so the protocol-visible clock and the metrics export are
+    identical to simulating it; it is credited to {!total_skipped_rounds}.
+    Returning [round] means "cannot promise silence now" and costs nothing.
+    The hint is re-queried every round (protocol state may change in
+    [after_round]), so it should be O(1).  It must be {e sound}: claiming
+    silence for a round in which a node would have transmitted silently
+    changes the simulation (DESIGN.md §10).  Protocols whose transmissions
+    are randomized every round (Decay, jammers) must not offer one.
 
-    Complexity per round: O(n) decide calls (or O(|active|) under
-    [decide_active]) plus O(Σ deg) over transmitters, so protocols that
-    [Sleep] inactive nodes simulate large round counts cheaply. *)
+    [domains] (default [1]) cuts the node range into that many contiguous
+    shards run on pool workers ({!Runner.Pool}); [1] runs inline with no
+    pool and no barrier.  For protocols whose [decide]/[deliver] touch only
+    per-node state — every protocol in this tree — outcome, stats, metrics,
+    traces and every callback observation are byte-identical for every
+    [domains] value, and independent of how many workers the pool could
+    spare.  Cross-node aggregates must be [Atomic.t] (see Decay's missing
+    count).  [stop], [decide_active], [next_busy_round], [on_round] and
+    [after_round] always run in the calling domain, between rounds.  An
+    exception raised by a callback inside a shard ends the run after the
+    phase it was raised in; the lowest shard's exception is re-raised.
+
+    The round loop allocates nothing beyond the [Received] wrappers handed
+    to successful listeners and, when tracing, the events;
+    [test/test_alloc.ml] enforces this budget under [Gc.minor_words] and
+    rblint rule R5 (DESIGN.md §8) statically rejects list traversals in the
+    [@@zero_alloc_hot]-tagged loop.  A round costs O(n / domains) decide
+    calls (or O(|active|)) plus O(Σ deg) over transmitters.
+
+    @raise Invalid_argument if [domains < 1], [next_busy_round] goes
+    backwards, or on a bad [decide_active] id/count. *)

@@ -1,10 +1,3 @@
-type caps = {
-  dense : bool;
-  sparse : bool;
-  sharded : bool;
-  offers_hint : bool;
-}
-
 type result = {
   rounds : int;
   delivered : bool;
@@ -13,7 +6,6 @@ type result = {
 
 type run =
   ?k:int ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   seed:int ->
   graph:Rn_graph.Graph.t ->
@@ -27,7 +19,6 @@ type entry = {
   multi : bool;
   traceable : bool;
   silence_pure : bool;
-  caps : caps;
   run : run;
 }
 

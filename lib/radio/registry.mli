@@ -14,17 +14,6 @@
     [Registry.register] call — so a protocol cannot opt out of the
     contract checks by simply not registering. *)
 
-type caps = {
-  dense : bool;  (** honours [~engine:Dense] ({!Engine.run}) *)
-  sparse : bool;  (** honours [~engine:Sparse] ({!Engine_sparse.run}) *)
-  sharded : bool;  (** can run on {!Engine_sharded} (multi-domain) *)
-  offers_hint : bool;  (** supplies a [next_busy_round] skip hint *)
-}
-(** Which engine fast paths the protocol's wrapper supports.  Capabilities
-    are declarative: a [run] whose wrapper has no [?engine] parameter
-    ignores the mode argument, and callers consult [caps] to learn which
-    modes are meaningful. *)
-
 type result = {
   rounds : int;  (** simulated rounds (total across phases) *)
   delivered : bool;  (** the pipeline's own success criterion *)
@@ -39,7 +28,6 @@ type result = {
 
 type run =
   ?k:int ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   seed:int ->
   graph:Rn_graph.Graph.t ->
@@ -47,10 +35,9 @@ type run =
   unit ->
   result
 (** Uniform pipeline entry point.  [k] is the message count for multi-
-    message protocols (ignored otherwise; defaults to 8), [engine] selects
-    the round path where [caps] permit, and [metrics] is forwarded to
-    wrappers that support round tracing.  The wrapper creates its own
-    {!Rn_util.Rng} from [seed]. *)
+    message protocols (ignored otherwise; defaults to 8), and [metrics] is
+    forwarded to wrappers that support round tracing.  The wrapper creates
+    its own {!Rn_util.Rng} from [seed]. *)
 
 type entry = {
   name : string;  (** unique CLI-friendly identifier, e.g. ["decay"] *)
@@ -63,7 +50,6 @@ type entry = {
           reasoned [rblint:allow R11] in the pipeline's source (e.g. the
           GST self-test, where silence {e means} unsafe); the contracts
           suite only asserts injection byte-identity when [true]. *)
-  caps : caps;
   run : run;
 }
 

@@ -45,10 +45,6 @@ let bernoulli t p =
   else if p >= 1.0 then true
   else float t 1.0 < p
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

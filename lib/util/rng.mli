@@ -39,10 +39,6 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array.  @raise Invalid_argument on
-    an empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

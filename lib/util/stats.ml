@@ -160,4 +160,3 @@ let ratio_spread pts =
       and mx = Array.fold_left fmax r0 arr in
       (mean arr, if mn = 0.0 then infinity else mx /. mn)
 
-let of_ints a = Array.map float_of_int a

@@ -20,21 +20,31 @@ let () =
   Atomic.set Runner.Pool.size_cap (max 8 (Atomic.get Runner.Pool.size_cap))
 
 (* Minor-heap words allocated by [rounds] steady-state rounds, measured
-   after [warmup] rounds so per-run scratch setup is excluded. *)
-let engine_round_words ?decide_active ?metrics ~graph ~protocol ~warmup
-    ~rounds () =
+   after [warmup] rounds so per-run scratch setup is excluded.  The
+   "engine" group measures the reference probe (every listener delivered,
+   no skip, full decide scan);
+   the "sparse" group measures the default path at [~domains:1]. *)
+let round_words ?(reference = false) ?decide_active ?next_busy_round ?metrics
+    ~graph ~protocol ~warmup ~rounds () =
   let marks = [| 0.0; 0.0 |] in
   let after_round ~round =
     if round = warmup then marks.(0) <- Gc.minor_words ()
     else if round = warmup + rounds then marks.(1) <- Gc.minor_words ()
   in
+  Atomic.set Engine.reference_mode reference;
   let (_ : Engine.outcome) =
-    Engine.run ?decide_active ?metrics ~after_round ~graph
-      ~detection:Engine.Collision_detection ~protocol
-      ~stop:(fun ~round:_ -> false)
-      ~max_rounds:(warmup + rounds + 2) ()
+    Fun.protect
+      ~finally:(fun () -> Atomic.set Engine.reference_mode false)
+      (fun () ->
+        Engine.run ?decide_active ?next_busy_round ?metrics ~after_round
+          ~domains:1 ~graph ~detection:Engine.Collision_detection ~protocol
+          ~stop:(fun ~round:_ -> false)
+          ~max_rounds:(warmup + rounds + 2) ())
   in
   marks.(1) -. marks.(0)
+
+let engine_round_words = round_words ~reference:true
+let sparse_round_words = round_words ~reference:false
 
 let star n =
   Graph.create ~n ~edges:(List.init (n - 1) (fun i -> (0, i + 1)))
@@ -137,7 +147,8 @@ let test_round_loop_independent_of_n () =
     true
     (words <= budget)
 
-(* The same bound must hold under the [decide_active] fast path. *)
+(* The same bound must hold under the [decide_active] fast path (on the
+   default path: the reference probe ignores active sets by design). *)
 let test_active_set_round_loop () =
   let n = 2048 in
   let graph = star n in
@@ -156,7 +167,7 @@ let test_active_set_round_loop () =
   in
   let rounds = 128 in
   let words =
-    engine_round_words ~decide_active ~graph ~protocol ~warmup:16 ~rounds ()
+    sparse_round_words ~decide_active ~graph ~protocol ~warmup:16 ~rounds ()
   in
   let budget = float_of_int (rounds * 16) in
   Alcotest.(check bool)
@@ -164,22 +175,6 @@ let test_active_set_round_loop () =
        budget)
     true
     (words <= budget)
-
-(* Sparse engine: same marker trick, driving [Engine_sparse.run]. *)
-let sparse_round_words ?decide_active ?next_busy_round ?metrics ~graph
-    ~protocol ~warmup ~rounds () =
-  let marks = [| 0.0; 0.0 |] in
-  let after_round ~round =
-    if round = warmup then marks.(0) <- Gc.minor_words ()
-    else if round = warmup + rounds then marks.(1) <- Gc.minor_words ()
-  in
-  let (_ : Engine.outcome) =
-    Engine_sparse.run ?decide_active ?next_busy_round ?metrics ~after_round
-      ~graph ~detection:Engine.Collision_detection ~protocol
-      ~stop:(fun ~round:_ -> false)
-      ~max_rounds:(warmup + rounds + 2) ()
-  in
-  marks.(1) -. marks.(0)
 
 (* Sparse quiet rounds — everyone listens, nobody transmits, Silence
    deliveries elided — must be exactly zero words per round even with the
@@ -247,11 +242,11 @@ let test_sparse_busy_budget () =
     true
     (words <= budget)
 
-(* Sharded engine, per-shard-lane budget: each lane writes Gc.minor_words
+(* Multi-domain engine ([~domains:2]), per-shard-lane budget: each lane writes Gc.minor_words
    (its executing domain's counter — lane j is pinned to executor j when
    the pool is idle) into its own row of a preallocated matrix at its first
    decide of every round.  The delta between consecutive rounds on the same
-   lane is the steady-state cost of one lane-round: two or three barrier
+   lane is the steady-state cost of one lane-round: three barrier
    crossings plus the phase loops, all of which must be allocation-free —
    the budget only has to absorb whatever the runtime's Mutex/Condition
    path spends. *)
@@ -280,7 +275,7 @@ let test_sharded_lane_budget () =
     }
   in
   let (_ : Engine.outcome) =
-    Engine_sharded.run ~domains ~graph
+    Engine.run ~domains ~graph
       ~detection:Engine.Collision_detection ~protocol
       ~after_round:(fun ~round -> round_no := round)
       ~stop:(fun ~round:_ -> false)

@@ -9,10 +9,13 @@
      records; entries that opted out with a reasoned [rblint:allow R11]
      (the GST self-test family, where silence means unsafe) must still
      run to completion.
-   - transmit-buffer contract: the engines' [?validate] debug flag must
+     Decay is also checked at [~domains:2], where the probe reaches the
+     parallel deliver phase.
+   - transmit-buffer contract: the engine's [?validate] debug flag must
      stay quiet on a well-formed [decide_active] and raise — naming the
-     offending round — on one that repeats a node id, on all three round
-     paths. *)
+     offending round — on one that repeats a node id, on the traced
+     every-listener path ("dense"), the default path ("sparse") and at
+     [~domains:2] ("sharded"). *)
 
 open Rn_graph
 open Rn_radio
@@ -48,6 +51,19 @@ let injection_case e =
            trajectory under injection (self-test fallbacks fire); the
            contract is that they remain well-defined, not identical. *)
         Alcotest.(check bool) "completes" true (injected.Registry.rounds > 0))
+
+let decay_domains_case =
+  Alcotest.test_case "decay (domains=2)" `Quick (fun () ->
+      let run () =
+        let r =
+          Decay.broadcast ~domains:2 ~rng:(Rn_util.Rng.create ~seed:42) ~graph
+            ~source:0 ()
+        in
+        (r.Decay.outcome, r.Decay.received_round, r.Decay.stats)
+      in
+      let base = run () in
+      Alcotest.(check bool) "identical under injection" true
+        (base = with_injection run))
 
 (* --------------------------------------------------------------- *)
 (* ?validate: the transmit-buffer distinctness check                 *)
@@ -90,23 +106,15 @@ let expect_clean name runner =
   Alcotest.test_case name `Quick (fun () ->
       ignore (runner () : Engine.outcome))
 
-let dense decide_active () =
-  Engine.run ~decide_active ~validate:true ~graph:small
+let validated ?on_round ?domains decide_active () =
+  Engine.run ?on_round ?domains ~decide_active ~validate:true ~graph:small
     ~detection:Engine.No_collision_detection ~protocol:null_protocol
     ~stop:(fun ~round:_ -> false)
     ~max_rounds:3 ()
 
-let sparse decide_active () =
-  Engine_sparse.run ~decide_active ~validate:true ~graph:small
-    ~detection:Engine.No_collision_detection ~protocol:null_protocol
-    ~stop:(fun ~round:_ -> false)
-    ~max_rounds:3 ()
-
-let sharded decide_active () =
-  Engine_sharded.run ~decide_active ~validate:true ~domains:2 ~graph:small
-    ~detection:Engine.No_collision_detection ~protocol:null_protocol
-    ~stop:(fun ~round:_ -> false)
-    ~max_rounds:3 ()
+let dense = validated ~on_round:(fun ~round:_ _ -> ())
+let sparse = validated ?on_round:None ~domains:1
+let sharded = validated ?on_round:None ~domains:2
 
 let registry_tests =
   [
@@ -131,7 +139,8 @@ let () =
   Alcotest.run "contracts"
     [
       ("registry", registry_tests);
-      ("silence-injection", List.map injection_case (Registry.all ()));
+      ( "silence-injection",
+        List.map injection_case (Registry.all ()) @ [ decay_domains_case ] );
       ( "validate",
         [
           expect_clean "dense accepts distinct ids" (dense distinct);

@@ -12,7 +12,7 @@ module M = Rn_obs.Metrics
 module Export = Rn_obs.Export
 module Analysis = Rn_obs.Analysis
 
-(* Same cap override as test_engine_sharded: byte-identity must hold under
+(* Same cap override as test_engine_equiv: byte-identity must hold under
    true multi-domain execution, not a degenerate 1-domain fallback. *)
 let () =
   Atomic.set Rn_radio.Runner.Pool.size_cap

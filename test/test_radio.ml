@@ -2,6 +2,12 @@ open Rn_graph
 module Topo = Rn_graph.Gen
 open Rn_radio
 
+(* These tests pin the §1.1 model, in which every listener observes a
+   reception each round, so they run under the reference probe; the default
+   path's elision of untouched listeners' [Silence] is pinned against it in
+   test_engine_equiv.ml. *)
+let () = Atomic.set Engine.reference_mode true
+
 (* Deterministic scripted protocols: [script.(round).(node)] gives the
    action; receptions are recorded for inspection. *)
 let scripted script log =

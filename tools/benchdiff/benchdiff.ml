@@ -29,7 +29,10 @@
    Experiments present only in the current run are new — informational,
    never a failure, even when the runs share nothing (a run made of only
    new experiments passes; the ids join the baseline whenever it is next
-   re-seeded).
+   re-seeded).  A baseline row missing from the current run is skipped
+   when its whole group did not run, but fails when the group ran: a row
+   [X[variant]] belongs to group [X], and if any current row is [X] or
+   [X[…]], a dropped variant is a lost gate, not a smaller run.
 
    Exit codes: 0 ok, 1 regression, 2 usage/parse error. *)
 
@@ -40,7 +43,7 @@ type experiment = {
   rounds : int;
   rounds_per_sec : float;
   skipped : int option;
-      (* fast-forwarded silent rounds (sparse engine); deterministic like
+      (* fast-forwarded silent rounds (skip hint); deterministic like
          [rounds], gated exactly when the baseline records it too *)
   cells_per_sec : float option;
       (* campaign rows only; floor-gated like [rounds_per_sec] *)
@@ -49,6 +52,10 @@ type experiment = {
 }
 
 let phase_field_names = [ "phase_deliveries"; "phase_tx"; "phase_collisions" ]
+
+(* [X] for a row id [X[variant]] or [X]. *)
+let group_of id =
+  match String.index_opt id '[' with Some i -> String.sub id 0 i | None -> id
 
 let fail_usage () =
   prerr_endline "usage: benchdiff BASELINE.json CURRENT.json [--threshold PCT]";
@@ -212,7 +219,17 @@ let () =
   List.iter
     (fun b ->
       if not (List.exists (fun c -> String.equal c.id b.id) current) then
-        Printf.printf "%-4s not in current run, skipped\n" b.id)
+        if
+          List.exists
+            (fun c -> String.equal (group_of c.id) (group_of b.id))
+            current
+        then begin
+          incr failures;
+          Printf.printf
+            "%-4s FAIL missing from the current run although group %s ran\n"
+            b.id (group_of b.id)
+        end
+        else Printf.printf "%-4s not in current run, skipped\n" b.id)
     baseline;
   if !compared = 0 then
     (* Every current experiment is new: nothing to gate.  [parse_experiments]

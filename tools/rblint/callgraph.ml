@@ -27,11 +27,12 @@
 
      R11 silence purity — a protocol's [deliver] must not, transitively
          through silence-reachable calls, write mutable state or draw
-         Rng on a [Silence] delivery (Engine_sparse skips silent rounds).
+         Rng on a [Silence] delivery (Engine.run elides silent deliveries
+         and skips silent rounds).
      R12 write locality — every write reachable from a protocol's
          [decide]/[deliver] must target node-derived state, node-local
-         scratch, or an [Atomic.t] (Engine_sharded races callbacks of
-         different nodes otherwise); Rng draws must come from a
+         scratch, or an [Atomic.t] ([Engine.run ~domains] races callbacks
+         of different nodes otherwise); Rng draws must come from a
          node-derived stream.
      R13 hint determinism — [~next_busy_round] closures must be pure
          functions of the round and data they can only read: any write,
@@ -278,7 +279,7 @@ let rng_consuming = function "create" | "copy" -> false | _ -> true
 
 let is_engine_run k =
   match List.rev k with
-  | "run" :: ("Engine" | "Engine_sparse" | "Engine_sharded") :: _ -> true
+  | "run" :: "Engine" :: _ -> true
   | _ -> false
 
 let is_registry_register k =
@@ -584,8 +585,8 @@ let r11_findings units =
                       g_msg =
                         "protocol deliver is not silence-pure: " ^ chain k
                         ^ " — a Silence delivery may mutate state or draw \
-                           randomness, so Engine_sparse's skipped silent \
-                           rounds would diverge from the dense engine; keep \
+                           randomness, so the engine's elided silent \
+                           deliveries would diverge from the reference; keep \
                            every silence-reachable path effect-free (guard \
                            effects under Received/Collision arms) or add a \
                            reasoned rblint:allow R11";
@@ -624,7 +625,7 @@ let r12_findings units =
     forward_closure ~seeds:callbacks ~edge_ok:(fun c -> not c.c_fwd) units
   in
   let advice =
-    " — Engine_sharded runs callbacks for different nodes on different \
+    " — Engine.run ~domains runs callbacks for different nodes on different \
      domains, so cross-node or shared-accumulator writes race; index \
      through the callback's ~node argument, use node-local scratch, make \
      shared aggregates Atomic.t, or add a reasoned rblint:allow R12"
@@ -764,10 +765,10 @@ let r13_findings ?r8_sinks units =
                     g_msg =
                       "next_busy_round hint is not a pure function of the \
                        round: " ^ chain h.h_key
-                      ^ " — Engine_sparse consults the hint instead of \
+                      ^ " — Engine.run consults the hint instead of \
                          simulating silent rounds, so any write, Rng draw \
                          or nondeterministic source in it diverges the \
-                         sparse schedule from the dense one; compute the \
+                         skipping schedule from the reference; compute the \
                          hint from the round and captured immutable data \
                          (reading evolving state is fine), or add a \
                          reasoned rblint:allow R13";
@@ -799,7 +800,7 @@ let r14_findings units =
     forward_closure ~seeds:register_seeds ~edge_ok:(fun _ -> true) units
   in
   (* Nodes that transitively drive an engine: backward reachability from
-     Engine/Engine_sparse/Engine_sharded run call sites. *)
+     Engine.run call sites. *)
   let drives =
     propagate
       ~seed_iter:(fun mark ->

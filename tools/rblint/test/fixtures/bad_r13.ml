@@ -18,7 +18,7 @@ end = struct
     !r mod b
 end
 
-module Engine_sparse = struct
+module Engine = struct
   let run ~next_busy_round ~max_rounds () =
     let r = ref 0 in
     while !r < max_rounds do
@@ -26,17 +26,17 @@ module Engine_sparse = struct
     done
 end
 
-(* a random hint desynchronizes the sparse schedule from the dense one *)
+(* a random hint desynchronizes the skipping schedule from the reference *)
 let jittered () =
   let rng = Rng.create ~seed:7 in
-  Engine_sparse.run
+  Engine.run
     ~next_busy_round:(fun ~round -> round + 1 + Rng.int rng 3)
     ~max_rounds:4 ()
 
 (* hints may be re-queried or skipped, so even a write desynchronizes *)
 let memoized () =
   let last = ref 0 in
-  Engine_sparse.run
+  Engine.run
     ~next_busy_round:(fun ~round ->
       last := round;
       !last + 2)

@@ -1,6 +1,6 @@
-(* Fixture: R6 in the sharded-engine shape — per-run lane state hoisted to
-   the top level of a spawning module.  [Engine_sharded.run] keeps
-   [out_act] and the shard cuts inside [run] so every invocation owns
+(* Fixture: R6 in the multi-domain engine shape — per-run lane state
+   hoisted to the top level of a spawning module.  [Engine.run] keeps its
+   lane stacks and the shard cuts inside [run] so every invocation owns
    fresh state; hoisting them makes concurrent runs race through the
    module.  The rounds tally mirrors the sanctioned Atomic pattern and
    must stay clean. *)

@@ -1,7 +1,7 @@
 (* R12 clean fixture: every callback write is node-local — indexed through
    the callback's ~node argument, or a shared aggregate made Atomic — so
-   Engine_sharded can run callbacks for different nodes on different
-   domains without racing. *)
+   [Engine.run ~domains] can run callbacks for different nodes on
+   different domains without racing. *)
 
 module Engine = struct
   type reception = Silence | Collision | Received of int

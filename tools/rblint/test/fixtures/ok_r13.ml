@@ -2,7 +2,7 @@
    data, plus one that *reads* evolving state — reads are sound because
    the engine re-queries the hint every silent round. *)
 
-module Engine_sparse = struct
+module Engine = struct
   let run ~next_busy_round ~max_rounds () =
     let r = ref 0 in
     while !r < max_rounds do
@@ -11,7 +11,7 @@ module Engine_sparse = struct
 end
 
 let scheduled schedule =
-  Engine_sparse.run
+  Engine.run
     ~next_busy_round:(fun ~round ->
       if round + 1 < Array.length schedule then schedule.(round + 1)
       else round + 1)
@@ -19,6 +19,6 @@ let scheduled schedule =
 
 let watermark () =
   let cursor = ref 3 in
-  Engine_sparse.run
+  Engine.run
     ~next_busy_round:(fun ~round -> if round < !cursor then !cursor else round + 1)
     ~max_rounds:4 ()
