@@ -103,6 +103,29 @@ let record_bench ?(extra = []) ?(skipped = 0) id wall rounds =
 
 let json_path : string Atomic.t = Atomic.make "BENCH_engine.json"
 
+(* Host descriptor for the record header: the CPUs this process may run
+   on ([nproc] honours the affinity mask; [null] when the tool is
+   missing), the runtime's domain recommendation and the compiler
+   version.  Throughput rows only compare across like hosts, so
+   tools/benchdiff prints both records' hosts when one fails. *)
+let host_json () =
+  let nproc =
+    match Unix.open_process_args_in "nproc" [| "nproc" |] with
+    | exception Unix.Unix_error _ -> None
+    | ic ->
+        let line = try Some (input_line ic) with End_of_file -> None in
+        (match (Unix.close_process_in ic, line) with
+        | Unix.WEXITED 0, Some l -> int_of_string_opt (String.trim l)
+        | _ -> None)
+  in
+  Jsons.obj
+    [
+      ("nproc", match nproc with Some p -> string_of_int p | None -> "null");
+      ( "recommended_domain_count",
+        string_of_int (Domain.recommended_domain_count ()) );
+      ("ocaml", Jsons.quote Sys.ocaml_version);
+    ]
+
 let write_bench_json ~total_wall =
   let records = List.rev (Atomic.get bench_records) in
   if records <> [] then begin
@@ -111,8 +134,9 @@ let write_bench_json ~total_wall =
         Printf.eprintf "warning: cannot write perf record: %s\n" msg
     | oc ->
     Printf.fprintf oc
-      "{\n  \"suite\": \"radio_broadcast bench\",\n  \"domains\": %d,\n"
-      (domains_used ());
+      "{\n  \"suite\": \"radio_broadcast bench\",\n  \"domains\": %d,\n\
+      \  \"host\": %s,\n"
+      (domains_used ()) (host_json ());
     Printf.fprintf oc "  \"total_wall_s\": %.3f,\n  \"experiments\": [\n"
       total_wall;
     List.iteri

@@ -42,6 +42,11 @@ type t = {
   offer_red : int array;
   offer_rank : int array;
   mutable ranked_now : int list;
+  (* Awake ids of the current stage, an order-preserving subsequence of
+     [reds @ blues]; refilled on the stage's first query ([fill_awake]). *)
+  awake : int array;
+  mutable n_awake : int;
+  mutable awake_stale : bool;
   mutable epoch : int;
   mutable epoch_hist : (int * int) list;
   mutable fixups : int;
@@ -129,6 +134,9 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
     offer_red = Array.make n (-1);
     offer_rank = Array.make n (-1);
     ranked_now = [];
+    awake = Array.make (max 1 (Array.length reds + Array.length blues)) 0;
+    n_awake = 0;
+    awake_stale = true;
     epoch = 0;
     epoch_hist = [];
     fixups = 0;
@@ -138,7 +146,9 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
 (* ------------------------------------------------------------------ *)
 (* Stage transitions (run inside [advance]) *)
 
-let clear t a = Array.iter (fun v -> a.(v) <- false) (Array.append t.reds t.blues)
+let clear t a =
+  Array.iter (fun v -> a.(v) <- false) t.reds;
+  Array.iter (fun v -> a.(v) <- false) t.blues
 
 let reset_rank_state t =
   clear t t.active;
@@ -154,7 +164,8 @@ let reset_epoch_state t =
 
 let enter t stage =
   t.stage <- stage;
-  t.stage_round <- 0
+  t.stage_round <- 0;
+  t.awake_stale <- true
 
 let identify_goal t =
   (* Every eligible red adjacent to an unassigned primary has activated. *)
@@ -422,6 +433,58 @@ and enter_next_part t k =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Awake lists (DESIGN.md §10) *)
+
+(* The nodes the current stage can use: every node left out is one whose
+   [decide] is a side-effect-free [Sleep] for the whole stage.  A Part
+   wakes exactly its Recruiting members; the other live stages wake a
+   superset computed on their first round, which stays valid because the
+   sets it covers only shrink while the stage runs: a blue's parent is
+   written only by this block, blue ranks that other blocks publish
+   mid-phase are below [t.rank] (the [ready] gate), and red ranks,
+   [active], [excluded], [loner] and [ranked_now] move only in this
+   block's own transitions.  Reds precede blues in every list, each in
+   array order, so a list is an order-preserving subsequence of
+   [reds @ blues] and the engine's touched-listener delivery order is
+   unchanged. *)
+let fill_awake t =
+  let k = ref 0 in
+  let keep a p =
+    Array.iter
+      (fun v ->
+        if p v then begin
+          t.awake.(!k) <- v;
+          incr k
+        end)
+      a
+  in
+  let unattached b = t.parents.(b) < 0 in
+  (match t.stage with
+  | Waiting | Done -> ()
+  | Identify ->
+      keep t.reds (fun v -> t.ranks.(v) = 0 && not t.excluded.(v));
+      keep t.blues unattached
+  | Loner_probe ->
+      keep t.reds (fun v -> t.active.(v));
+      keep t.blues (fun b -> is_primary t b)
+  | Loner_inform ->
+      keep t.reds (fun v -> t.active.(v));
+      keep t.blues (fun b -> t.loner.(b) && is_primary t b)
+  | Part (_, recr) ->
+      keep (Recruiting.reds recr) (fun _ -> true);
+      keep (Recruiting.blues recr) (fun _ -> true)
+  | Stage3 ->
+      keep t.reds (fun v -> List.mem v t.ranked_now);
+      keep t.blues unattached);
+  t.n_awake <- !k;
+  t.awake_stale <- false
+
+let write_awake t buf pos =
+  if t.awake_stale then fill_awake t;
+  Array.blit t.awake 0 buf pos t.n_awake;
+  pos + t.n_awake
+
+(* ------------------------------------------------------------------ *)
 (* Scheduler interface *)
 
 let decide t ~node =
@@ -580,30 +643,12 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?metrics ~rng
           advance t;
           Rn_obs.Phase.enter m t.epoch
   in
-  (* Only reds and blues ever act (decide falls through both tables to
-     Sleep); the awake set is static.  No hint: Waiting never occurs under
-     the standalone [ready], and every live stage keeps nodes awake. *)
-  let active_ids =
-    let mark = Array.make n false in
-    Array.iter (fun v -> mark.(v) <- true) reds;
-    Array.iter (fun v -> mark.(v) <- true) blues;
-    let count = ref 0 in
-    Array.iter (fun b -> if b then incr count) mark;
-    let ids = Array.make (max !count 1) 0 in
-    let i = ref 0 in
-    for v = 0 to n - 1 do
-      if mark.(v) then begin
-        ids.(!i) <- v;
-        incr i
-      end
-    done;
-    (ids, !count)
-  in
-  let decide_active ~round:_ dst =
-    let ids, count = active_ids in
-    Array.blit ids 0 dst 0 count;
-    count
-  in
+  (* Each round wakes the current stage's awake list.  No hint: Waiting
+     never occurs under the standalone [ready], and every live stage keeps
+     nodes awake.  The list orders reds before blues rather than by id;
+     every delivery here writes only the listener's own state (Recruiting's
+     recruit count saturates), so the touched-listener order is free. *)
+  let decide_active ~round:_ dst = write_awake t dst 0 in
   let stop ~round:_ = finished t in
   ignore
     (Engine.run ?metrics ~decide_active ~graph ~detection ~protocol

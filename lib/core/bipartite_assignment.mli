@@ -63,6 +63,16 @@ val current_rank : t -> int
 val waiting : t -> bool
 (** True while the instance idles on its [ready] dependency. *)
 
+val write_awake : t -> int array -> int -> int
+(** [write_awake t buf pos] writes the ids of the nodes the current stage
+    can use into [buf] from [pos] and returns the position after them.
+    Every node of [reds ∪ blues] left out would [Sleep] without side
+    effect for the rest of the stage, so the list can serve as an engine
+    active set: in a recruiting part it is the part's members; in the
+    other stages a superset fixed on the stage's first round; empty while
+    [Waiting] or finished.  Reds come before blues, each in the order
+    given to {!create}. *)
+
 (** {1 Instrumentation} *)
 
 val rounds_used : t -> int

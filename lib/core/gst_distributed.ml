@@ -129,43 +129,27 @@ let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
     in
     (* Frontier: a block whose machine is [Waiting] (gated by [ready_for])
        or [Done] returns a side-effect-free [Sleep] for every node it
-       owns, so the awake set of a round is the level pairs of the
-       *live* blocks in the round's slot — in steady pipelined state
-       that is one or two level pairs, not the whole graph.  The block
-       wakes only inside [advance]/[settle] (after_round), never in
-       decide, so dormancy observed at round start holds for the whole
-       round. *)
-    let level_nodes = Array.init (depth + 1) at_level in
+       owns, and a live block wakes only its current stage's awake list
+       ([Bipartite_assignment.write_awake]) — an order-preserving
+       subsequence of its level pair, so the touched-listener delivery
+       order is unchanged.  The awake set of a round is the lists of the
+       blocks in the round's slot.  A block changes stage only inside
+       [advance]/[settle] (after_round), never in decide, so a list
+       observed at round start holds for the whole round. *)
     let dormant l =
       let b = block l in
       Bipartite_assignment.finished b || Bipartite_assignment.waiting b
     in
     let first_of_slot slot = if slot = 0 then 3 else slot in
     let decide_active ~round (buf : int array) =
-      let k = ref 0 in
-      let put l =
-        let nodes = level_nodes.(l) in
-        let len = Array.length nodes in
-        Array.blit nodes 0 buf !k len;
-        k := !k + len
-      in
-      (match mode with
-      | Sequential ->
-          let c = !current in
-          if not (dormant c) then begin
-            put (c - 1);
-            put c
-          end
+      match mode with
+      | Sequential -> Bipartite_assignment.write_awake (block !current) buf 0
       | Pipelined ->
-          let l = ref (first_of_slot (round mod 3)) in
-          while !l <= depth do
-            if not (dormant !l) then begin
-              put (!l - 1);
-              put !l
-            end;
-            l := !l + 3
-          done);
-      !k
+          let rec go l k =
+            if l > depth then k
+            else go (l + 3) (Bipartite_assignment.write_awake (block l) buf k)
+          in
+          go (first_of_slot (round mod 3)) 0
     in
     (* Skip hint, re-queried every round so it only ever promises rounds
        whose silence follows from *current* machine state: a slot with no
@@ -346,8 +330,7 @@ let run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
   let node_rng = Rng.split_n rng n in
   let total_rounds = ref 0 in
   (* One d-iteration: stretch sweeps for every rank, then Decay
-     relaxation.  [swept] marks nodes labeled d+1 by the current sweep so
-     epoch 2 only cascades fresh labels. *)
+     relaxation. *)
   let d = ref 0 in
   let iter_cap = (3 * ladder) + n in
   let run_phase ?decide_active ?next_busy_round ~decide ~deliver ~stop
@@ -365,11 +348,17 @@ let run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
   let depth_cap = depth + 2 in
   let level_nodes = Array.init (depth + 1) (fun l -> Bfs.nodes_at_level levels l) in
   let cand = Array.make (max n 1) 0 in
+  (* [sweep_hit.(v) = sweep] marks v as labeled by the current stage-1
+     sweep, so epoch 2 only cascades fresh labels; a new sweep number
+     clears every mark at once. *)
+  let sweep_hit = Array.make (max n 1) (-1) in
+  let sweep_no = ref 0 in
   while unlabeled_remain () && !d <= iter_cap do
     let dv = !d in
     (* Stage 1: label whole stretches hanging off F_dv, rank by rank. *)
     for r = 1 to max_rank do
-      let sweep_hit = Array.make n false in
+      incr sweep_no;
+      let sweep = !sweep_no in
       let heads_exist =
         let rec go v =
           v < n
@@ -399,7 +388,7 @@ let run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
           else if
             levels.(node) = l && ranks.(node) = r
             && ((epoch = 0 && is_head node && vd.(node) = dv)
-               || (epoch = 1 && sweep_hit.(node)))
+               || (epoch = 1 && sweep_hit.(node) = sweep))
           then Engine.Transmit (Cmsg.Vd_label { from_node = node; vd = dv })
           else if
             levels.(node) = l + 1
@@ -415,7 +404,7 @@ let run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
           | Engine.Received (Cmsg.Vd_label { from_node; vd = _ })
             when from_node = parents.(node) && vd.(node) < 0 ->
               vd.(node) <- dv + 1;
-              sweep_hit.(node) <- true;
+              sweep_hit.(node) <- sweep;
               sweep_count.(levels.(node)) <- sweep_count.(levels.(node)) + 1
           | Engine.Received _ | Engine.Silence | Engine.Collision -> ()
         in
@@ -450,16 +439,14 @@ let run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
     done;
     (* Stage 2: Decay relaxation across ordinary G-edges. *)
     let budget = Params.whp_phases params ~n:scale_n * ladder in
-    let goal () =
-      Array.for_all
-        (fun v ->
-          (not (in_forest v))
+    (* Goal: no unlabeled forest node has a frontier neighbor left. *)
+    let frontier_nbr acc u = acc || (in_forest u && vd.(u) = dv) in
+    let rec goal v =
+      v >= n
+      || ((not (in_forest v))
           || vd.(v) >= 0
-          || not
-               (Graph.fold_neighbors graph v
-                  (fun acc u -> acc || (in_forest u && vd.(u) = dv))
-                  false))
-        (Array.init n (fun i -> i))
+          || not (Graph.fold_neighbors graph v frontier_nbr false))
+         && goal (v + 1)
     in
     let decide ~round ~node =
       if in_forest node && vd.(node) = dv then begin
@@ -495,7 +482,7 @@ let run_vd ~params ~detection ~rng ~graph ~levels ~parents ~ranks
     in
     run_phase ~decide_active ~decide ~deliver
       ~stop:(fun ~round ->
-        params.Params.adaptive && round mod ladder = 0 && goal ())
+        params.Params.adaptive && round mod ladder = 0 && goal 0)
       ~max_rounds:budget ();
     incr d
   done;

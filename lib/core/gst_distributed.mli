@@ -72,10 +72,10 @@ val construct :
     with [Collision_detection] for the Theorem 1.1 pipeline).
 
     Every phase hands the engine an active set and a skip hint: the
-    assignment phase wakes only the level pairs of
-    live bipartite blocks (a dormant — [Waiting] or finished — block's
-    nodes all sleep) and fast-forwards rounds whose mod-3 slot has no
-    live block; the self-test wakes one rank group per round and skips
+    assignment phase wakes, in each live bipartite block, only the nodes
+    its current stage can use ({!Bipartite_assignment.write_awake}; a
+    dormant — [Waiting] or finished — block's nodes all sleep) and
+    fast-forwards rounds whose mod-3 slot has no live block; the self-test wakes one rank group per round and skips
     empty (rank, layer-class) slices; vd-learning wakes the sweeping
     level pair (stage 1, skipping levels with no potential transmitter)
     or the relaxation candidates (stage 2).  Results are identical to the

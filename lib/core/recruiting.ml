@@ -217,6 +217,10 @@ let blue_sees_many t b =
 
 let rounds_used t = t.round
 
+let reds t = t.reds
+
+let blues t = t.blues
+
 type outcome = {
   recruited : (int * int) list;
   rounds : int;

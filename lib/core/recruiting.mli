@@ -54,7 +54,10 @@ val create :
 
 val decide : t -> node:int -> Cmsg.t Engine.action
 (** Action for one of the protocol's nodes in the current granted round.
-    Nodes not in [reds ∪ blues] must not be asked. *)
+    A node outside [reds ∪ blues] gets a side-effect-free [Sleep] (the
+    reference probe's full decide scan still asks such nodes), but each
+    costs two failed table lookups: schedulers with an active set wake
+    only {!reds} and {!blues}. *)
 
 val deliver : t -> node:int -> Cmsg.t Engine.reception -> unit
 
@@ -83,6 +86,10 @@ val blue_sees_many : t -> int -> bool option
     recruited. *)
 
 val rounds_used : t -> int
+
+val reds : t -> int array
+val blues : t -> int array
+(** The members as given to {!create}, in that order. *)
 
 (** {1 Standalone run} *)
 

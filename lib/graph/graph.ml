@@ -223,14 +223,6 @@ let induced_bipartite g ~left ~right =
     left;
   (create ~n:(nl + nr) ~edges:!es, back)
 
-(* The adjacency matrix of an undirected graph is symmetric, so the CSR
-   arrays are their own reverse-adjacency (CSC) view: the in-edges of [v]
-   are exactly its out-edges.  Exposing them as O(1) aliases under the
-   gather-side name documents a pull loop's intent without copying 2m
-   ints. *)
-let csc_offsets t = t.off
-let csc_targets t = t.tgt
-
 let shard_cuts ?(align = 1) t ~parts =
   if parts < 1 then invalid_arg "Graph.shard_cuts: parts must be >= 1";
   if align < 1 then invalid_arg "Graph.shard_cuts: align must be >= 1";

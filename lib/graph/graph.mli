@@ -71,16 +71,6 @@ val offsets : t -> int array
 val targets : t -> int array
 (** The physical CSR targets array, length [2m] — do not mutate. *)
 
-val csc_offsets : t -> int array
-
-val csc_targets : t -> int array
-(** Reverse-adjacency (CSC) view: [csc_targets.(csc_offsets.(v)) ..
-    csc_targets.(csc_offsets.(v+1) - 1)] are the {e in}-neighbors of [v].
-    The graph is undirected, so its adjacency matrix is symmetric and the
-    CSR arrays are their own CSC — these are O(1) aliases of
-    {!offsets}/{!targets}, exposed under the gather-side name for readers
-    of pull-model loops.  Do not mutate. *)
-
 val shard_cuts : ?align:int -> t -> parts:int -> int array
 (** [shard_cuts t ~parts] partitions the node range into [parts] contiguous
     shards balanced by CSR edge count: the returned array [cuts] has length

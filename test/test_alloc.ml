@@ -297,6 +297,39 @@ let test_sharded_lane_budget () =
       (!worst <= budget)
   done
 
+(* Whole-run budget for one standalone bipartite assignment on a fixed
+   graph: everything the state machine and its engine run allocate on
+   the minor heap, set-up included.  The budget is what this run took
+   while every stage woke all reds and blues; the per-stage awake lists
+   live in per-block buffers filled in place, so they must not raise it. *)
+let test_assignment_run_budget () =
+  let rng = Rn_util.Rng.create ~seed:5 in
+  let n_reds = 24 and n_blues = 40 in
+  let graph = Gen.bipartite_random ~rng ~reds:n_reds ~blues:n_blues ~p:0.15 in
+  let reds = Array.init n_reds Fun.id
+  and blues = Array.init n_blues (fun i -> n_reds + i) in
+  let blue_ranks = Array.make (n_reds + n_blues) 0 in
+  Array.iter (fun b -> blue_ranks.(b) <- 1 + (b mod 3)) blues;
+  let rng = Rn_util.Rng.split rng in
+  let marks = [| 0.0; 0.0 |] in
+  marks.(0) <- Gc.minor_words ();
+  let o =
+    Rn_broadcast.Bipartite_assignment.run_standalone ~rng
+      ~params:Rn_broadcast.Params.default ~graph ~reds ~blues ~blue_ranks ()
+  in
+  marks.(1) <- Gc.minor_words ();
+  let words = marks.(1) -. marks.(0) in
+  Alcotest.(check bool) "every blue assigned" true
+    (Array.for_all
+       (fun b -> o.Rn_broadcast.Bipartite_assignment.parents.(b) >= 0)
+       blues);
+  let budget = 113_741.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "standalone assignment allocates <= %.0f minor words (got %.0f)" budget
+       words)
+    true (words <= budget)
+
 (* Runner shard loop: every domain lane records Gc.minor_words (its own
    domain's counter) at each item it processes; the delta between two
    consecutive items of the same lane is the steady-state cost of one
@@ -398,6 +431,11 @@ let () =
         [
           Alcotest.test_case "lane round budget" `Quick
             test_sharded_lane_budget;
+        ] );
+      ( "assignment",
+        [
+          Alcotest.test_case "standalone run budget" `Quick
+            test_assignment_run_budget;
         ] );
       ( "runner",
         [

@@ -680,6 +680,32 @@ let wrapper_tests =
             ~k:4 () ));
   ]
 
+(* The same equivalence at pipelining scale: layered graphs deep enough
+   for pipelined slots to overlap and for recruiting parts 2/3 and Stage
+   III to run.  The reference probe's full decide scan asks every node,
+   so a node wrongly left out of an assignment stage's awake list shows
+   up as a diverging result. *)
+let layered_pipeline_prop =
+  let open Rn_broadcast in
+  QCheck.Test.make ~count:30
+    ~name:"GST construct + Thm 1.1 on layered graphs: default ≡ probe"
+    QCheck.(
+      triple (int_range 6 12) (int_range 4 10) (int_range 0 100_000))
+    (fun (depth, width, seed) ->
+      let graph =
+        Topo.layered_random ~rng:(Rng.create ~seed) ~depth ~width ~p:0.3
+      in
+      let run () =
+        ( List.map
+            (fun mode ->
+              Gst_distributed.construct ~mode ~learn_vd:true
+                ~rng:(Rng.create ~seed:(seed + 1)) ~graph ~roots:[| 0 |] ())
+            [ Gst_distributed.Sequential; Gst_distributed.Pipelined ],
+          Single_broadcast.run ~rng:(Rng.create ~seed:(seed + 2)) ~graph
+            ~source:0 () )
+      in
+      with_reference run = run ())
+
 (* Properties of the default path's silent-round skip and elided
    [Silence] delivery, reported next to the skip-contract cases. *)
 let skip_qcheck_tests =
@@ -736,7 +762,9 @@ let () =
           quick "lane exception propagates" test_lane_exception_propagates;
         ] );
       ("decay", [ quick "serial ≡ sharded" test_decay_integration ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          (qcheck_tests @ [ layered_pipeline_prop ]) );
     ];
   Alcotest.run "engine_equiv_skip"
     [

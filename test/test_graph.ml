@@ -243,13 +243,6 @@ let test_builder_growth () =
   Alcotest.(check bool) "grown builder ≡ create" true
     (same_graph (Graph.Builder.finish b) (Graph.create ~n ~edges:!edges))
 
-let test_csc_is_csr () =
-  let g = Topo.random_connected ~rng:(rng ()) ~n:20 ~extra:10 in
-  Alcotest.(check bool) "csc offsets alias" true
-    (Graph.csc_offsets g == Graph.offsets g);
-  Alcotest.(check bool) "csc targets alias" true
-    (Graph.csc_targets g == Graph.targets g)
-
 let check_cuts_shape ~n ~parts ~align cuts =
   Alcotest.(check int) "length" (parts + 1) (Array.length cuts);
   Alcotest.(check int) "first" 0 cuts.(0);
@@ -421,7 +414,6 @@ let () =
           Alcotest.test_case "builder empty & bounds" `Quick
             test_builder_empty_and_bounds;
           Alcotest.test_case "builder growth" `Quick test_builder_growth;
-          Alcotest.test_case "csc aliases csr" `Quick test_csc_is_csr;
           Alcotest.test_case "shard_cuts shapes" `Quick test_shard_cuts_shapes;
           Alcotest.test_case "shard_cuts balance" `Quick
             test_shard_cuts_balance;

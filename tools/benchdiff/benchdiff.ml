@@ -26,6 +26,12 @@
      deterministic like [rounds] — and are informational when the
      baseline predates them.
 
+   When a throughput row fails, both records' host descriptors (the
+   header's [host] object: nproc, recommended domain count, OCaml
+   version) are printed after the rows, since a rounds/sec floor only
+   means something between like hosts; a record without one prints as
+   unrecorded.  Hosts never fail the gate themselves.
+
    Experiments present only in the current run are new — informational,
    never a failure, even when the runs share nothing (a run made of only
    new experiments passes; the ids join the baseline whenever it is next
@@ -115,6 +121,25 @@ let parse_experiments path =
   | _ :: _ -> ());
   exps
 
+(* The header's ["host": {...}] object as written; records that predate
+   it have none. *)
+let host_of path =
+  let prefix = "\"host\":" in
+  let strip_comma s =
+    if String.ends_with ~suffix:"," s then String.sub s 0 (String.length s - 1)
+    else s
+  in
+  List.find_map
+    (fun line ->
+      let line = String.trim line in
+      if String.starts_with ~prefix line then
+        let p = String.length prefix in
+        let rest = String.sub line p (String.length line - p) in
+        Some (strip_comma (String.trim rest))
+      else None)
+    (read_lines path)
+  |> Option.value ~default:"unrecorded"
+
 let () =
   let baseline_path, current_path, threshold =
     match Array.to_list Sys.argv with
@@ -128,6 +153,7 @@ let () =
   let baseline = parse_experiments baseline_path in
   let current = parse_experiments current_path in
   let failures = ref 0 in
+  let throughput_failures = ref 0 in
   let compared = ref 0 in
   let floor_of base = base *. (1.0 -. (threshold /. 100.0)) in
   List.iter
@@ -184,6 +210,7 @@ let () =
           (match (base.cells_per_sec, cur.cells_per_sec) with
           | Some b, Some c when c < floor_of b ->
               incr failures;
+              incr throughput_failures;
               Printf.printf
                 "%-4s FAIL campaign throughput regressed beyond %.0f%%: %.1f \
                  -> %.1f cells/s (floor %.1f)\n"
@@ -201,6 +228,7 @@ let () =
           | Some _, Some _ | None, None -> ());
           if cur.rounds_per_sec < floor_of base.rounds_per_sec then begin
             incr failures;
+            incr throughput_failures;
             Printf.printf
               "%-4s FAIL throughput regressed beyond %.0f%%: %.0f -> %.0f \
                rounds/s (floor %.0f)\n"
@@ -231,6 +259,10 @@ let () =
         end
         else Printf.printf "%-4s not in current run, skipped\n" b.id)
     baseline;
+  if !throughput_failures > 0 then begin
+    Printf.printf "host baseline: %s\n" (host_of baseline_path);
+    Printf.printf "host current:  %s\n" (host_of current_path)
+  end;
   if !compared = 0 then
     (* Every current experiment is new: nothing to gate.  [parse_experiments]
        already rejected empty runs, so this is the all-new case. *)
