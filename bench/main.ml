@@ -1133,6 +1133,9 @@ let micro () =
   let msgs = Multi_broadcast.random_messages rng ~k:32 ~msg_len:64 in
   let decoder = Rn_coding.Rlnc.create ~k:32 ~msg_len:64 in
   Rn_coding.Rlnc.seed_with_sources decoder ~msgs;
+  (* A dense combination: innovative into a fresh decoder, dropped by the
+     full-rank [decoder] without touching its words. *)
+  let coded = Option.get (Rn_coding.Rlnc.encode rng decoder) in
   (* 10^4-node graph for the engine/iteration benchmarks; [rows] is the
      pre-CSR int array array representation, rebuilt here as the baseline
      the flat slice walk is measured against. *)
@@ -1164,6 +1167,13 @@ let micro () =
           (Staged.stage (fun () -> Rn_coding.Bitvec.dot vec_a vec_b));
         Test.make ~name:"rlnc_encode_k32"
           (Staged.stage (fun () -> Rn_coding.Rlnc.encode rng decoder));
+        Test.make ~name:"rlnc_receive_k32_fresh"
+          (Staged.stage (fun () ->
+               Rn_coding.Rlnc.receive
+                 (Rn_coding.Rlnc.create ~k:32 ~msg_len:64)
+                 coded));
+        Test.make ~name:"rlnc_receive_k32_full"
+          (Staged.stage (fun () -> Rn_coding.Rlnc.receive decoder coded));
         Test.make ~name:"bfs_grid_32x32"
           (Staged.stage (fun () -> Bfs.levels grid ~src:0));
         Test.make ~name:"gst_centralized_n256"

@@ -389,7 +389,7 @@ let campaign_cmd =
       & info [ "spec" ] ~docv:"FILE"
           ~doc:
             "Campaign spec: JSONL lines {\"topo\":…}, {\"proto\":…}, \
-             {\"seeds\":[…]} (see DESIGN.md §14).  Cells are the cross \
+             {\"seeds\":[…]} (see DESIGN.md §13).  Cells are the cross \
              product, each with a stable job key.")
   in
   let out =

@@ -1,5 +1,5 @@
 (** Deterministic sweep engine: topology cache, work-stealing scheduler,
-    checkpoint/resume.  DESIGN.md §14 documents the architecture and its
+    checkpoint/resume.  DESIGN.md §13 documents the architecture and its
     determinism argument.
 
     [run] expands nothing itself — it executes the cells of a parsed

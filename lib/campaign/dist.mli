@@ -1,6 +1,6 @@
 (** Distributed campaign executor: shared-nothing multi-process fan-out
     with supervised workers and deterministic journal merge.  DESIGN.md
-    §15 documents the distribution model and its determinism argument.
+    §14 documents the distribution model and its determinism argument.
 
     The coordinator partitions the spec's cell list into contiguous
     shards, one per worker slot, and drives each slot through a small

@@ -98,19 +98,44 @@ let dot a b =
   done;
   !acc = 1
 
+(* De Bruijn lowest-set-bit: [w land (-w)] isolates the lowest set bit
+   2^i, and multiplying the de Bruijn constant by 2^i brings a 6-bit
+   window of the constant, distinct for each i, into bits 57..62;
+   [debruijn_index] maps the window back to [i].  The constant is the
+   standard 64-bit one: its windows at shifts 1..63 are exactly our
+   windows at shifts 0..62, so they stay distinct in 63-bit arithmetic. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let debruijn_index =
+  String.init 64 (fun window ->
+      let rec find i =
+        if i = bits_per_word then '\000'
+        else if (debruijn * (1 lsl i)) lsr 57 = window then Char.chr i
+        else find (i + 1)
+      in
+      find 0)
+
+let lowest_bit w =
+  if w = 0 then invalid_arg "Bitvec.lowest_bit: zero word";
+  Char.code debruijn_index.[(debruijn * (w land -w)) lsr 57]
+
 let first_set t =
   let rec find_word w =
     if w >= Array.length t.words then None
     else if t.words.(w) = 0 then find_word (w + 1)
-    else begin
-      let rec find_bit o =
-        if t.words.(w) lsr o land 1 = 1 then Some ((w * bits_per_word) + o)
-        else find_bit (o + 1)
-      in
-      find_bit 0
-    end
+    else Some ((w * bits_per_word) + lowest_bit t.words.(w))
   in
   find_word 0
+
+let blit_words t dst ofs = Array.blit t.words 0 dst ofs (Array.length t.words)
+
+let of_words len words =
+  if len < 0 || Array.length words <> words_for len then
+    invalid_arg "Bitvec.of_words: word count mismatch";
+  let top = len mod bits_per_word in
+  if top <> 0 && words.(Array.length words - 1) lsr top <> 0 then
+    invalid_arg "Bitvec.of_words: bits set beyond the length";
+  { len; words }
 
 let popcount t =
   let count_word w =

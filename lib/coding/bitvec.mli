@@ -54,6 +54,31 @@ val dot : t -> t -> bool
 val first_set : t -> int option
 (** Index of the lowest set bit, if any. *)
 
+(** {2 Word access}
+
+    For kernels that keep many vectors in one flat [int array] (the RLNC
+    decoder's basis): a vector of length [len] is [words_for len] words,
+    bit [i] at bit [i mod bits_per_word] of word [i / bits_per_word], and
+    every bit at or beyond [len] zero. *)
+
+val words_for : int -> int
+(** Number of words backing a vector of the given length. *)
+
+val lowest_bit : int -> int
+(** [lowest_bit w] is the index of the lowest set bit of the non-zero word
+    [w], in a constant number of steps (no per-bit loop).
+    @raise Invalid_argument if [w = 0]. *)
+
+val blit_words : t -> int array -> int -> unit
+(** [blit_words t dst ofs] copies the [words_for (length t)] words of [t]
+    into [dst] starting at [ofs]. *)
+
+val of_words : int -> int array -> t
+(** [of_words len words] is the vector of length [len] backed by [words]
+    itself (not copied: the caller hands the array over).
+    @raise Invalid_argument unless [words] has [words_for len] words and
+    no bit set at or beyond [len]. *)
+
 val popcount : t -> int
 
 val random : Rn_util.Rng.t -> int -> t

@@ -30,7 +30,9 @@ val packet_bits : packet -> int
     can be computed offline and omitted) would cost [k] header bits. *)
 
 type t
-(** Decoder / buffer state of one node. *)
+(** Decoder / buffer state of one node.  A decoder holds a scratch row
+    that every [receive] reduces into, so it belongs to one node and is
+    used by one domain at a time; never share a decoder between nodes. *)
 
 val create : k:int -> msg_len:int -> t
 
@@ -39,7 +41,9 @@ val k : t -> int
 val receive : t -> packet -> bool
 (** Store a packet; returns [true] iff it was {e innovative} (increased the
     rank of the received coefficient space).  Malformed packets (wrong
-    lengths) raise [Invalid_argument]. *)
+    lengths) raise [Invalid_argument].  A packet that is not innovative
+    allocates nothing; at full rank it is dropped without its words being
+    read.  The packet is never retained or mutated. *)
 
 val rank : t -> int
 
@@ -50,7 +54,8 @@ val encode : Rn_util.Rng.t -> t -> packet option
 (** A uniformly random packet from the span of the stored packets, [None]
     when nothing has been received yet.  The zero combination is permitted
     (it is a valid, vacuous packet), matching the model where a prompted
-    node always transmits. *)
+    node always transmits.  Draws one [Rng.bool] per stored basis row, in
+    ascending pivot order, and allocates only the packet. *)
 
 val decode : t -> Bitvec.t array option
 (** All [k] messages, once [can_decode]. *)

@@ -2,7 +2,7 @@
 
    This is the single source of truth behind rbcast's [--proto]
    enumeration, bench's registry sweep, and test_contracts' injection
-   harness.  rblint rule R14 (DESIGN.md §13) checks the converse: every
+   harness.  rblint rule R14 (DESIGN.md §12) checks the converse: every
    engine-driving pipeline in lib/ must be reachable from one of the
    [Registry.register] calls below. *)
 

@@ -6,7 +6,7 @@
     results are deterministic per (graph, seed) — the contracts suite
     relies on that for byte-identity checks.
 
-    rblint's R14 (DESIGN.md §13) closes the loop statically: a pipeline in
+    rblint's R14 (DESIGN.md §12) closes the loop statically: a pipeline in
     [lib/] that constructs an [Engine.protocol] and drives an engine but is
     not reachable from a registration below is a lint error. *)
 

@@ -84,7 +84,7 @@ val inject_silence : bool Atomic.t
 (** Debug probe for the contracts suite: when set, {!run} delivers one
     spurious [Silence] to every listener before its real reception of the
     round (if any).  A protocol honouring the R11 silence-purity contract
-    (DESIGN.md §13) produces byte-identical results either way —
+    (DESIGN.md §12) produces byte-identical results either way —
     [test/test_contracts.ml] asserts exactly that for every registered
     pipeline.  Read once per run; defaults to [false]. *)
 
@@ -120,7 +120,7 @@ val run :
     {b Deliveries.}  Only listeners inside a transmitter's neighborhood
     receive a [deliver] call: an untouched listener would have heard
     [Silence], and every protocol here treats such a delivery as a no-op
-    (the R11 silence-purity contract, DESIGN.md §13).  Under
+    (the R11 silence-purity contract, DESIGN.md §12).  Under
     [No_collision_detection] a collided listener still gets its [Silence].
     Within a round, listeners are delivered in descending decide order —
     the reference engine's order restricted to the touched listeners.  When

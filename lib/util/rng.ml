@@ -1,15 +1,25 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a mutable [int64] field:
+   storing into such a field boxes a fresh [int64] on every draw, while
+   [Bytes.set_int64_le] writes it unboxed, so a draw whose result is
+   consumed in this module ([int], [bool], [bernoulli]) allocates
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function: advance by the golden gamma, then mix. *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -18,23 +28,26 @@ let split t =
   let s = bits64 t in
   (* Mix once more so that parent and child streams are decorrelated even
      for adjacent integer seeds. *)
-  let s = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 33)) 0xFF51AFD7ED558CCDL in
-  { state = s }
+  of_state
+    (Int64.mul (Int64.logxor s (Int64.shift_right_logical s 33)) 0xFF51AFD7ED558CCDL)
 
 let split_n t n = Array.init n (fun _ -> split t)
 
+(* Rejection sampling on the top 62 bits to avoid modulo bias.  A
+   top-level loop rather than a local closure, so a draw allocates
+   nothing. *)
+let rec int_below t bound =
+  let r = Int64.to_int (bits64 t) land max_int in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then int_below t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
-  let mask = max_int in
-  let rec draw () =
-    let r = Int64.to_int (bits64 t) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then draw () else v
-  in
-  draw ()
+  int_below t bound
 
-let float t bound =
+(* Inlined into [bernoulli], whose comparison then consumes the float
+   unboxed. *)
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 

@@ -8,7 +8,8 @@
     independent stream. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.  Draws through [int], [bool] and
+    [bernoulli] allocate nothing; [bits64] and [float] box their result. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a fresh generator from [seed].  Equal seeds yield

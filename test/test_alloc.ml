@@ -330,6 +330,107 @@ let test_assignment_run_budget () =
        words)
     true (words <= budget)
 
+(* Coding layer: a packet that cannot raise a decoder's rank is reduced
+   in the decoder's own scratch row and dropped, so it must not allocate;
+   a full-rank decoder returns before touching the packet's words.  An
+   encode allocates the packet it returns and nothing else: the coin per
+   stored row draws from an unboxed generator state. *)
+let words_during f =
+  let marks = [| 0.0; 0.0 |] in
+  marks.(0) <- Gc.minor_words ();
+  f ();
+  marks.(1) <- Gc.minor_words ();
+  marks.(1) -. marks.(0)
+
+let coding_k = 64 and coding_msg_len = 100
+
+let coding_decoder ~sources =
+  let rng = Rn_util.Rng.create ~seed:11 in
+  let msgs =
+    Array.init coding_k (fun _ -> Rn_coding.Bitvec.random rng coding_msg_len)
+  in
+  let d = Rn_coding.Rlnc.create ~k:coding_k ~msg_len:coding_msg_len in
+  for i = 0 to sources - 1 do
+    ignore (Rn_coding.Rlnc.receive d (Rn_coding.Rlnc.source_packet ~msgs i))
+  done;
+  (rng, msgs, d)
+
+let test_rlnc_receive_non_innovative () =
+  let module R = Rn_coding.Rlnc in
+  let reps = 200 in
+  let check_zero what d packets =
+    let rank = R.rank d in
+    let innovative = ref false in
+    let words =
+      words_during (fun () ->
+          for i = 0 to reps - 1 do
+            if R.receive d packets.(i mod Array.length packets) then
+              innovative := true
+          done)
+    in
+    Alcotest.(check bool) (what ^ ": no packet innovative") false !innovative;
+    Alcotest.(check int) (what ^ ": rank unchanged") rank (R.rank d);
+    Alcotest.(check (float 0.0)) (what ^ ": zero minor words") 0.0 words
+  in
+  let rng, _, full = coding_decoder ~sources:coding_k in
+  check_zero "full rank" full
+    (Array.init 8 (fun _ -> Option.get (R.encode rng full)));
+  (* rank 40 of 64: combinations of stored rows, a duplicate source and
+     the zero packet are all dependent *)
+  let rng, msgs, part = coding_decoder ~sources:40 in
+  let dependent =
+    Array.append
+      (Array.init 6 (fun _ -> Option.get (R.encode rng part)))
+      [|
+        R.source_packet ~msgs 17;
+        R.packet_of_coeffs ~msgs (Rn_coding.Bitvec.create coding_k);
+      |]
+  in
+  check_zero "rank-deficient, dependent" part dependent
+
+(* The generator's state is unboxed, so a draw consumed inside [Rng]
+   allocates nothing: protocols flip these coins per node per round. *)
+let test_rng_draws () =
+  let rng = Rn_util.Rng.create ~seed:3 in
+  let hits = ref 0 in
+  let words =
+    words_during (fun () ->
+        for i = 1 to 1000 do
+          if Rn_util.Rng.bool rng then incr hits;
+          if Rn_util.Rng.bernoulli rng 0.3 then incr hits;
+          hits := !hits + Rn_util.Rng.int rng (1 + (i land 63))
+        done)
+  in
+  Alcotest.(check bool) "draws happened" true (!hits > 0);
+  Alcotest.(check (float 0.0)) "int/bool/bernoulli draws: zero minor words"
+    0.0 words
+
+let test_rlnc_encode_budget () =
+  let module R = Rn_coding.Rlnc in
+  let reps = 200 in
+  let wf = Rn_coding.Bitvec.words_for in
+  (* [Some] box + packet record + two [Bitvec] records + the two word
+     arrays, each with its header *)
+  let packet_words =
+    2 + 3 + (2 * 3) + (1 + wf coding_k) + (1 + wf coding_msg_len)
+  in
+  List.iter
+    (fun sources ->
+      let rng, _, d = coding_decoder ~sources in
+      let words =
+        words_during (fun () ->
+            for _ = 1 to reps do
+              ignore (R.encode rng d)
+            done)
+      in
+      let budget = float_of_int (reps * packet_words) in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "rank %d: %d encodes allocate <= their packets (%.0f words <= %.0f)"
+           sources reps words budget)
+        true (words <= budget))
+    [ 1; 40; coding_k ]
+
 (* Runner shard loop: every domain lane records Gc.minor_words (its own
    domain's counter) at each item it processes; the delta between two
    consecutive items of the same lane is the steady-state cost of one
@@ -437,6 +538,15 @@ let () =
           Alcotest.test_case "standalone run budget" `Quick
             test_assignment_run_budget;
         ] );
+      ( "coding",
+        [
+          Alcotest.test_case "non-innovative receive zero-alloc" `Quick
+            test_rlnc_receive_non_innovative;
+          Alcotest.test_case "encode allocates its packet only" `Quick
+            test_rlnc_encode_budget;
+        ] );
+      ( "rng",
+        [ Alcotest.test_case "draws zero-alloc" `Quick test_rng_draws ] );
       ( "runner",
         [
           Alcotest.test_case "shard loop O(1)/item" `Quick

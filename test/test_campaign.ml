@@ -1,5 +1,5 @@
 (* Campaign runner: spec expansion, journal round-trips, and the crash
-   recovery contract of DESIGN.md §14 — a campaign killed after an
+   recovery contract of DESIGN.md §13 — a campaign killed after an
    arbitrary prefix of cells and resumed from its journal must produce
    output byte-identical to an uninterrupted run, at every domain count,
    schedule, and cache setting, while re-running zero journaled cells. *)

@@ -94,6 +94,31 @@ let test_bitvec_unsafe_bits () =
   Alcotest.(check bool) "cleared 62" false (Bitvec.unsafe_get v 62);
   Alcotest.(check bool) "63 survives" true (Bitvec.unsafe_get v 63)
 
+let test_bitvec_word_helpers () =
+  for i = 0 to Bitvec.bits_per_word - 1 do
+    Alcotest.(check int) (Printf.sprintf "lowest_bit 2^%d" i) i
+      (Bitvec.lowest_bit (1 lsl i));
+    Alcotest.(check int) (Printf.sprintf "lowest_bit of -2^%d" i) i
+      (Bitvec.lowest_bit (-1 lsl i))
+  done;
+  Alcotest.check_raises "lowest_bit 0"
+    (Invalid_argument "Bitvec.lowest_bit: zero word") (fun () ->
+      ignore (Bitvec.lowest_bit 0));
+  let v = Bitvec.random (rng ()) 130 in
+  let words = Array.make (Bitvec.words_for 130 + 2) (-1) in
+  Bitvec.blit_words v words 1;
+  Alcotest.(check int) "words_for 130" 3 (Bitvec.words_for 130);
+  Alcotest.(check int) "blit leaves the word before" (-1) words.(0);
+  Alcotest.(check int) "blit leaves the word after" (-1) words.(4);
+  Alcotest.(check bool) "of_words inverts blit_words" true
+    (Bitvec.equal v (Bitvec.of_words 130 (Array.sub words 1 3)));
+  Alcotest.check_raises "of_words: word count"
+    (Invalid_argument "Bitvec.of_words: word count mismatch") (fun () ->
+      ignore (Bitvec.of_words 130 [| 0; 0 |]));
+  Alcotest.check_raises "of_words: bit beyond the length"
+    (Invalid_argument "Bitvec.of_words: bits set beyond the length")
+    (fun () -> ignore (Bitvec.of_words 130 [| 0; 0; 1 lsl 4 |]))
+
 (* ------------------------------------------------------------------ *)
 (* Rlnc *)
 
@@ -287,6 +312,70 @@ let test_fec_no_zero_packets () =
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
+(* Differential check of the flat decoder against the seed decoder kept
+   in rlnc_reference.ml: one random operation sequence drives a pair of
+   nodes through both implementations, encoders drawing from copied
+   generators, and every observable must agree after every step. *)
+let rlnc_sizes = [| 1; 62; 63; 64; 126; 127 |]
+
+let rlnc_matches_reference (ki, li, seed, len) =
+  let module Ref = Rlnc_reference in
+  let k = rlnc_sizes.(ki) and msg_len = rlnc_sizes.(li) in
+  let rng = Rng.create ~seed in
+  let msgs = Array.init k (fun _ -> Bitvec.random rng msg_len) in
+  let node () = (Rlnc.create ~k ~msg_len, Ref.create ~k ~msg_len) in
+  let nodes = [| node (); node () |] in
+  let enc = Rng.split rng in
+  let enc_ref = Rng.copy enc in
+  let ok = ref true and heard = ref [] in
+  let agree b = if not b then ok := false in
+  let same_packet (a : Rlnc.packet) (b : Rlnc.packet) =
+    Bitvec.equal a.coeffs b.coeffs && Bitvec.equal a.payload b.payload
+  in
+  let deliver (d, r) p =
+    agree (Rlnc.receive d p = Ref.receive r p);
+    agree (Rlnc.rank d = Ref.rank r && Rlnc.can_decode d = Ref.can_decode r);
+    heard := p :: !heard
+  in
+  for _ = 1 to len mod ((4 * k) + 9) do
+    let i = Rng.int rng 2 in
+    match Rng.int rng 6 with
+    | 0 -> deliver nodes.(i) (Rlnc.source_packet ~msgs (Rng.int rng k))
+    | 1 -> deliver nodes.(i) (Rlnc.packet_of_coeffs ~msgs (Bitvec.random rng k))
+    | 2 ->
+        (* payload unrelated to the coefficients *)
+        deliver nodes.(i)
+          { Rlnc.coeffs = Bitvec.random rng k; payload = Bitvec.random rng msg_len }
+    | 3 -> (
+        match !heard with
+        | [] -> ()
+        | l -> deliver nodes.(i) (List.nth l (Rng.int rng (List.length l))))
+    | 4 ->
+        deliver nodes.(i)
+          { Rlnc.coeffs = Bitvec.create k; payload = Bitvec.create msg_len }
+    | _ -> (
+        let d, r = nodes.(i) in
+        match (Rlnc.encode enc d, Ref.encode enc_ref r) with
+        | None, None -> ()
+        | Some a, Some b ->
+            agree (same_packet a b);
+            deliver nodes.(1 - i) a
+        | Some _, None | None, Some _ -> agree false)
+  done;
+  Array.iter
+    (fun (d, r) ->
+      agree
+        (match (Rlnc.decode d, Ref.decode r) with
+        | None, None -> true
+        | Some a, Some b -> Array.for_all2 Bitvec.equal a b
+        | Some _, None | None, Some _ -> false);
+      for _ = 1 to 8 do
+        let mu = Bitvec.random rng k in
+        agree (Rlnc.infected d mu = Ref.infected r mu)
+      done)
+    nodes;
+  !ok
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -350,6 +439,10 @@ let qcheck_tests =
           if was && not (Rlnc.infected d mu) then ok := false
         done;
         !ok);
+    Test.make ~name:"flat decoder = seed decoder, op by op" ~count:200
+      (quad (int_range 0 5) (int_range 0 5) (int_range 0 100_000)
+         (int_range 0 10_000))
+      rlnc_matches_reference;
   ]
 
 let () =
@@ -367,6 +460,7 @@ let () =
           Alcotest.test_case "clear_range exhaustive" `Quick
             test_bitvec_clear_range;
           Alcotest.test_case "unsafe bit ops" `Quick test_bitvec_unsafe_bits;
+          Alcotest.test_case "word helpers" `Quick test_bitvec_word_helpers;
         ] );
       ( "rlnc",
         [

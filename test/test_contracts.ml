@@ -1,4 +1,4 @@
-(* Dynamic conformance probes for the protocol contracts of DESIGN.md §13,
+(* Dynamic conformance probes for the protocol contracts of DESIGN.md §12,
    run over the live registry so every pipeline a user can reach from
    rbcast/bench is exercised:
 

@@ -620,7 +620,7 @@ let r12_findings units =
      data along the way: helpers reached like this operate on state the
      analysis cannot tie to the delivering node.  A call that forwards a
      node-derived argument is a trust boundary — the callee is presumed
-     to work on that node's state (documented approximation, DESIGN §13). *)
+     to work on that node's state (documented approximation, DESIGN §12). *)
   let reach_blind =
     forward_closure ~seeds:callbacks ~edge_ok:(fun c -> not c.c_fwd) units
   in
