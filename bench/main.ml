@@ -17,8 +17,9 @@
           dune exec bench/main.exe -- micro        (Bechamel micro-benchmarks)
           dune exec bench/main.exe -- --csv out/   (also write CSV tables)
           dune exec bench/main.exe -- --domains 1  (force serial trials)
-          dune exec bench/main.exe -- --json f.json (perf record path;
-                                                     default BENCH_engine.json) *)
+          dune exec bench/main.exe -- --json f.json (also write the perf
+                                                     record to f.json; without
+                                                     it none is written) *)
 
 open Rn_util
 open Rn_graph
@@ -80,7 +81,9 @@ let per_config configs seeds f k =
 let pmap_seeds seeds f =
   Rn_radio.Runner.map_seeds ?domains:(Atomic.get domains) ~seeds f
 
-(* Per-experiment perf record, written to BENCH_engine.json at exit.
+(* Per-experiment perf record, written at exit to the --json path (CI
+   writes BENCH_engine.json); without --json nothing is written, so a
+   local run leaves the tracked record alone.
    Experiments may add their own finer-grained rows (the E-scale
    per-domain-count timings) alongside the per-experiment totals.
    [extra] carries additional fields as (name, raw-JSON-value) pairs —
@@ -101,7 +104,7 @@ let record_bench ?(extra = []) ?(skipped = 0) id wall rounds =
   Atomic.set bench_records
     ((id, wall, rounds, skipped, extra) :: Atomic.get bench_records)
 
-let json_path : string Atomic.t = Atomic.make "BENCH_engine.json"
+let json_path : string option Atomic.t = Atomic.make None
 
 (* Host descriptor for the record header: the CPUs this process may run
    on ([nproc] honours the affinity mask; [null] when the tool is
@@ -128,8 +131,10 @@ let host_json () =
 
 let write_bench_json ~total_wall =
   let records = List.rev (Atomic.get bench_records) in
-  if records <> [] then begin
-    match open_out (Atomic.get json_path) with
+  match Atomic.get json_path with
+  | None -> ()
+  | Some path when records <> [] -> begin
+    match open_out path with
     | exception Sys_error msg ->
         Printf.eprintf "warning: cannot write perf record: %s\n" msg
     | oc ->
@@ -159,10 +164,10 @@ let write_bench_json ~total_wall =
       records;
     Printf.fprintf oc "  ]\n}\n";
     close_out oc;
-    Printf.printf "perf record written to %s (%d domains)\n"
-      (Atomic.get json_path)
+    Printf.printf "perf record written to %s (%d domains)\n" path
       (domains_used ())
   end
+  | Some _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 1.1: single-message broadcast, rounds vs D and vs n     *)
@@ -1241,8 +1246,8 @@ let micro () =
 (* One Decay broadcast per engine configuration, each checked byte-identical
    to the reference run ([Engine.reference_mode], row "serial") before its
    timing is reported; "sparse" is the default single-domain path.
-   Per-configuration rounds/sec rows land in BENCH_engine.json next to the
-   per-experiment totals (ids like "ES-layered[domains=2]").
+   Per-configuration rounds/sec rows land in the perf record (--json) next
+   to the per-experiment totals (ids like "ES-layered[domains=2]").
 
    Every run carries a metrics registry; its full export (per-phase
    aggregates + receive histogram + totals) must also be byte-identical
@@ -1960,7 +1965,7 @@ let () =
         Atomic.set domains (Some (max 1 (int_of_string d)));
         strip_opts acc rest
     | "--json" :: path :: rest ->
-        Atomic.set json_path path;
+        Atomic.set json_path (Some path);
         strip_opts acc rest
     | x :: rest -> strip_opts (x :: acc) rest
     | [] -> List.rev acc

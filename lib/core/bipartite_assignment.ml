@@ -11,6 +11,13 @@ type stage =
   | Stage3
   | Done
 
+(* Per-node state is flat and sized to the block: red flags are indexed
+   by a red's position in [reds], blue flags by a blue's position in
+   [blues].  [pos] maps a node id to its index in whichever array holds
+   it; the assignment phase passes one map of positions within BFS
+   levels for all its blocks, so a block allocates nothing of size n.
+   [red_pos]/[blue_pos] confirm the hit, because [pos] also maps the
+   nodes of other levels. *)
 type t = {
   rng : Rng.t;
   params : Params.t;
@@ -18,30 +25,30 @@ type t = {
   graph : Graph.t;
   reds : int array;
   blues : int array;
-  is_red : bool array;
-  is_blue : bool array;
+  pos : int array;
   parents : int array;
   ranks : int array;
   parent_rank : int array;
   ready : rank:int -> bool;
   ladder : int;
   decay_budget : int;
-  node_rng : Rng.t option array;
+  red_rng : Rng.t array;
+  blue_rng : Rng.t array;
   (* rank-phase state *)
   mutable rank : int;
   mutable stage : stage;
   mutable stage_round : int;
   mutable rounds : int;
-  active : bool array;
-  excluded : bool array;
+  active : bool array;  (* by red position *)
+  excluded : bool array;  (* by red position *)
   (* epoch state *)
-  loner : bool array;
-  loner_parent : bool array;
-  brisk : bool array;
-  temp_taken : bool array;
-  offer_red : int array;
-  offer_rank : int array;
-  mutable ranked_now : int list;
+  loner : bool array;  (* by blue position *)
+  loner_parent : bool array;  (* by red position *)
+  brisk : bool array;  (* by red position *)
+  marked : bool array;  (* by red position: ranked this epoch (Stage III) *)
+  temp_taken : bool array;  (* by blue position *)
+  offer_red : int array;  (* by blue position *)
+  offer_rank : int array;  (* by blue position *)
   (* Awake ids of the current stage, an order-preserving subsequence of
      [reds @ blues]; refilled on the stage's first query ([fill_awake]). *)
   awake : int array;
@@ -53,57 +60,62 @@ type t = {
   mutable fallbacks : int;
 }
 
-let decay_prob t r =
-  1.0 /. float_of_int (1 lsl min ((r mod t.ladder) + 1) 62)
+(* Decay step [r] transmits with probability 2^{-e}; this is [e]. *)
+let decay_exponent t r = min ((r mod t.ladder) + 1) 62
 
-let node_rng t v =
-  match t.node_rng.(v) with
-  | Some r -> r
-  | None -> invalid_arg "Bipartite_assignment: foreign node"
+let[@inline] member pos ids v =
+  let p = pos.(v) in
+  if p >= 0 && p < Array.length ids && ids.(p) = v then p else -1
 
-let is_primary t b =
-  t.is_blue.(b) && t.parents.(b) < 0 && t.ranks.(b) = t.rank
+(* Position of [v] among the block's reds (blues), or -1. *)
+let[@inline] red_pos t v = member t.pos t.reds v
+let[@inline] blue_pos t v = member t.pos t.blues v
 
-let is_secondary t b =
-  t.is_blue.(b) && t.parents.(b) < 0 && t.ranks.(b) < t.rank && t.ranks.(b) >= 1
+(* [Array.for_all] with the position: [f i a.(i)] for every [i]. *)
+let for_alli a f =
+  let rec go i = i >= Array.length a || (f i a.(i) && go (i + 1)) in
+  go 0
 
-let red_eligible t v = t.is_red.(v) && t.ranks.(v) = 0 && not t.excluded.(v)
+(* The predicates below take a node known to be one of the block's blues. *)
+let primary t b = t.parents.(b) < 0 && t.ranks.(b) = t.rank
+
+let secondary t b = t.parents.(b) < 0 && t.ranks.(b) < t.rank && t.ranks.(b) >= 1
+
+let is_primary t b = blue_pos t b >= 0 && primary t b
+
+let red_eligible t i = t.ranks.(t.reds.(i)) = 0 && not t.excluded.(i)
 
 (* A blue that heard a Stage III announcement before knowing its own rank
    buffered the offer; attach as soon as the rank is known (pipelined mode
    learns blue ranks while shallower phases are already running). *)
 let apply_offers t =
-  Array.iter
-    (fun b ->
+  Array.iteri
+    (fun j b ->
       if
         t.parents.(b) < 0
-        && t.offer_red.(b) >= 0
+        && t.offer_red.(j) >= 0
         && t.ranks.(b) >= 1
-        && t.ranks.(b) < t.offer_rank.(b)
+        && t.ranks.(b) < t.offer_rank.(j)
       then begin
-        t.parents.(b) <- t.offer_red.(b);
-        t.parent_rank.(b) <- t.offer_rank.(b)
+        t.parents.(b) <- t.offer_red.(j);
+        t.parent_rank.(b) <- t.offer_rank.(j)
       end)
     t.blues
 
 let unassigned_primaries t =
-  Array.to_list t.blues |> List.filter (fun b -> is_primary t b)
+  Array.to_list t.blues |> List.filter (fun b -> primary t b)
 
-let exists_unassigned_primary t = Array.exists (fun b -> is_primary t b) t.blues
+let exists_unassigned_primary t = Array.exists (fun b -> primary t b) t.blues
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
+let create ~pos ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
     ~parent_rank ~ready () =
-  let n = Graph.n graph in
-  let mk_flag () = Array.make n false in
-  let is_red = mk_flag () and is_blue = mk_flag () in
-  Array.iter (fun v -> is_red.(v) <- true) reds;
-  Array.iter (fun v -> is_blue.(v) <- true) blues;
-  let node_rng = Array.make n None in
-  Array.iter (fun v -> node_rng.(v) <- Some (Rng.split rng)) reds;
-  Array.iter (fun v -> node_rng.(v) <- Some (Rng.split rng)) blues;
+  let nr = Array.length reds and nb = Array.length blues in
+  let red_flag () = Array.make nr false and blue_flag () = Array.make nb false in
+  let red_rng = Array.map (fun _ -> Rng.split rng) reds in
+  let blue_rng = Array.map (fun _ -> Rng.split rng) blues in
   let ladder = Params.phase_len ~n:scale_n in
   {
     rng;
@@ -112,29 +124,29 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
     graph;
     reds;
     blues;
-    is_red;
-    is_blue;
+    pos;
     parents;
     ranks;
     parent_rank;
     ready;
     ladder;
     decay_budget = Params.whp_phases params ~n:scale_n * ladder;
-    node_rng;
+    red_rng;
+    blue_rng;
     rank = Ilog.clog (max 2 scale_n);
     stage = Waiting;
     stage_round = 0;
     rounds = 0;
-    active = mk_flag ();
-    excluded = mk_flag ();
-    loner = mk_flag ();
-    loner_parent = mk_flag ();
-    brisk = mk_flag ();
-    temp_taken = mk_flag ();
-    offer_red = Array.make n (-1);
-    offer_rank = Array.make n (-1);
-    ranked_now = [];
-    awake = Array.make (max 1 (Array.length reds + Array.length blues)) 0;
+    active = red_flag ();
+    excluded = red_flag ();
+    loner = blue_flag ();
+    loner_parent = red_flag ();
+    brisk = red_flag ();
+    marked = red_flag ();
+    temp_taken = blue_flag ();
+    offer_red = Array.make nb (-1);
+    offer_rank = Array.make nb (-1);
+    awake = Array.make (max 1 (nr + nb)) 0;
     n_awake = 0;
     awake_stale = true;
     epoch = 0;
@@ -146,21 +158,19 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
 (* ------------------------------------------------------------------ *)
 (* Stage transitions (run inside [advance]) *)
 
-let clear t a =
-  Array.iter (fun v -> a.(v) <- false) t.reds;
-  Array.iter (fun v -> a.(v) <- false) t.blues
+let clear a = Array.fill a 0 (Array.length a) false
 
 let reset_rank_state t =
-  clear t t.active;
-  clear t t.excluded;
+  clear t.active;
+  clear t.excluded;
   t.epoch <- 0
 
 let reset_epoch_state t =
-  clear t t.loner;
-  clear t t.loner_parent;
-  clear t t.brisk;
-  clear t t.temp_taken;
-  t.ranked_now <- []
+  clear t.loner;
+  clear t.loner_parent;
+  clear t.brisk;
+  clear t.temp_taken;
+  clear t.marked
 
 let enter t stage =
   t.stage <- stage;
@@ -169,47 +179,54 @@ let enter t stage =
 
 let identify_goal t =
   (* Every eligible red adjacent to an unassigned primary has activated. *)
-  Array.for_all
-    (fun v ->
-      (not (red_eligible t v))
-      || t.active.(v)
+  for_alli t.reds (fun i v ->
+      (not (red_eligible t i))
+      || t.active.(i)
       || not (Graph.fold_neighbors t.graph v (fun acc b -> acc || is_primary t b) false))
-    t.reds
 
 let loner_inform_goal t =
-  Array.for_all
-    (fun v ->
-      (not (t.active.(v) && not t.loner_parent.(v)))
+  for_alli t.reds (fun i v ->
+      (not (t.active.(i) && not t.loner_parent.(i)))
       || not
            (Graph.fold_neighbors t.graph v
-              (fun acc b -> acc || (t.loner.(b) && is_primary t b))
+              (fun acc b ->
+                acc
+                ||
+                let j = blue_pos t b in
+                j >= 0 && t.loner.(j) && primary t b)
               false))
-    t.reds
+
+let is_marked t v =
+  let i = red_pos t v in
+  i >= 0 && t.marked.(i)
 
 let stage3_goal t =
-  let marked = t.ranked_now in
-  Array.for_all
-    (fun b ->
+  for_alli t.blues (fun j b ->
       let has_marked_nbr () =
-        Graph.fold_neighbors t.graph b (fun acc v -> acc || List.mem v marked) false
+        Graph.fold_neighbors t.graph b (fun acc v -> acc || is_marked t v) false
       in
-      if is_secondary t b then not (has_marked_nbr ())
-      else if t.is_blue.(b) && t.parents.(b) < 0 && t.ranks.(b) = 0 then
-        t.offer_red.(b) >= 0 || not (has_marked_nbr ())
+      if secondary t b then not (has_marked_nbr ())
+      else if t.parents.(b) < 0 && t.ranks.(b) = 0 then
+        t.offer_red.(j) >= 0 || not (has_marked_nbr ())
       else true)
-    t.blues
 
-let part_reds t = function
-  | 1 -> Array.to_list t.reds |> List.filter (fun v -> t.active.(v) && t.loner_parent.(v))
-  | 2 -> Array.to_list t.reds |> List.filter (fun v -> t.active.(v) && t.brisk.(v))
-  | 3 ->
-      Array.to_list t.reds
-      |> List.filter (fun v ->
-             t.active.(v) && (not t.loner_parent.(v)) && not t.brisk.(v))
-  | _ -> assert false
+(* The members of recruiting part [k], in block order. *)
+let part_reds t k =
+  let keep i =
+    t.active.(i)
+    &&
+    match k with
+    | 1 -> t.loner_parent.(i)
+    | 2 -> t.brisk.(i)
+    | 3 -> (not t.loner_parent.(i)) && not t.brisk.(i)
+    | _ -> assert false
+  in
+  List.filteri (fun i _ -> keep i) (Array.to_list t.reds)
 
 let part_blues t =
-  unassigned_primaries t |> List.filter (fun b -> not t.temp_taken.(b))
+  List.filteri
+    (fun j b -> primary t b && not t.temp_taken.(j))
+    (Array.to_list t.blues)
 
 let harvest_part t k (recr : Recruiting.t) =
   let bl = part_blues t in
@@ -238,24 +255,25 @@ let harvest_part t k (recr : Recruiting.t) =
             t.parents.(b) <- v;
             t.parent_rank.(b) <- t.rank + 1
           end
-          else t.temp_taken.(b) <- true)
+          else t.temp_taken.(blue_pos t b) <- true)
     bl;
   (* Reds: marking and ranking. *)
   List.iter
     (fun v ->
+      let i = red_pos t v in
       match Recruiting.red_class recr v with
-      | Recruiting.Zero -> if k >= 2 then t.excluded.(v) <- true
+      | Recruiting.Zero -> if k >= 2 then t.excluded.(i) <- true
       | Recruiting.One _ ->
           if k = 1 then begin
             t.ranks.(v) <- t.rank;
-            t.excluded.(v) <- true;
-            t.ranked_now <- v :: t.ranked_now
+            t.excluded.(i) <- true;
+            t.marked.(i) <- true
           end
           (* Parts 2/3 single recruits stay active with a temporary child. *)
       | Recruiting.Many ->
           t.ranks.(v) <- t.rank + 1;
-          t.excluded.(v) <- true;
-          t.ranked_now <- v :: t.ranked_now)
+          t.excluded.(i) <- true;
+          t.marked.(i) <- true)
     (part_reds t k)
 
 let rec next_rank t =
@@ -274,7 +292,7 @@ let begin_epoch t =
     failwith "Bipartite_assignment: epoch budget blown (protocol stalled)";
   reset_epoch_state t;
   let count =
-    Array.fold_left (fun acc v -> if t.active.(v) then acc + 1 else acc) 0 t.reds
+    Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.active
   in
   t.epoch_hist <- (t.rank, count) :: t.epoch_hist;
   enter t Loner_probe
@@ -293,19 +311,20 @@ let enter_part t k =
        recruits zero, so (Stage III) it is marked and leaves the rank
        phase.  Skipping without marking would let a red hold a temporary
        child epoch after epoch and stall the shrinkage of Lemma 2.4. *)
-    if k >= 2 then List.iter (fun v -> t.excluded.(v) <- true) rl;
+    if k >= 2 then List.iter (fun v -> t.excluded.(red_pos t v) <- true) rl;
     None
   end
   | _ :: _, _ :: _ ->
       Some
-        (Recruiting.create ~rng:(Rng.split t.rng) ~params:t.params
+        (Recruiting.create_indexed ~pos:t.pos ~rng:(Rng.split t.rng)
+           ~params:t.params
            ~scale_n:t.scale_n ~graph:t.graph ~reds:(Array.of_list rl)
            ~blues:(Array.of_list bl) ())
 
 let end_epoch t =
   (* Temporaries dissolve; marked reds leave the rank phase. *)
-  clear t t.temp_taken;
-  Array.iter (fun v -> if t.excluded.(v) then t.active.(v) <- false) t.reds;
+  clear t.temp_taken;
+  Array.iteri (fun i ex -> if ex then t.active.(i) <- false) t.excluded;
   if exists_unassigned_primary t then begin
     (* Last-resort net for a w.h.p. failure: a primary whose upper
        neighbors are all permanently ranked can still attach to one of
@@ -316,14 +335,14 @@ let end_epoch t =
       (fun b ->
         let has_unranked =
           Graph.fold_neighbors t.graph b
-            (fun acc v -> acc || (t.is_red.(v) && t.ranks.(v) = 0))
+            (fun acc v -> acc || (red_pos t v >= 0 && t.ranks.(v) = 0))
             false
         in
         if not has_unranked then begin
           let higher =
             Graph.fold_neighbors t.graph b
               (fun acc v ->
-                if t.is_red.(v) && t.ranks.(v) > t.ranks.(b) then v :: acc
+                if red_pos t v >= 0 && t.ranks.(v) > t.ranks.(b) then v :: acc
                 else acc)
               []
           in
@@ -342,7 +361,11 @@ let end_epoch t =
         (fun b ->
           not
             (Graph.fold_neighbors t.graph b
-               (fun acc v -> acc || (t.is_red.(v) && t.active.(v)))
+               (fun acc v ->
+                 acc
+                 ||
+                 let i = red_pos t v in
+                 i >= 0 && t.active.(i))
                false))
         (unassigned_primaries t)
     in
@@ -350,8 +373,8 @@ let end_epoch t =
       (* Robustness fallback: let unranked marked reds rejoin and
          re-identify the active set. *)
       t.fallbacks <- t.fallbacks + 1;
-      Array.iter (fun v -> if t.ranks.(v) = 0 then t.excluded.(v) <- false) t.reds;
-      clear t t.active;
+      Array.iteri (fun i v -> if t.ranks.(v) = 0 then t.excluded.(i) <- false) t.reds;
+      clear t.active;
       enter t Identify
     end
     else begin_epoch t
@@ -417,16 +440,16 @@ and enter_next_part t k =
     (* Brisk/lazy coins are per-epoch; after part 3 comes Stage III (skip
        straight to the epoch end when nobody was ranked and no secondary
        can attach). *)
-    match t.ranked_now with [] -> end_epoch t | _ :: _ -> enter t Stage3
+    if Array.mem true t.marked then enter t Stage3 else end_epoch t
   end
   else begin
     if k = 1 then
       (* Flip the brisk/lazy coins now that loner-parents are known. *)
-      Array.iter
-        (fun v ->
-          if t.active.(v) && not t.loner_parent.(v) then
-            t.brisk.(v) <- Rng.bool (node_rng t v))
-        t.reds;
+      Array.iteri
+        (fun i rng ->
+          if t.active.(i) && not t.loner_parent.(i) then
+            t.brisk.(i) <- Rng.bool rng)
+        t.red_rng;
     match enter_part t (k + 1) with
     | Some r -> enter t (Part (k + 1, r))
     | None -> enter_next_part t (k + 1)
@@ -442,7 +465,7 @@ and enter_next_part t k =
    sets it covers only shrink while the stage runs: a blue's parent is
    written only by this block, blue ranks that other blocks publish
    mid-phase are below [t.rank] (the [ready] gate), and red ranks,
-   [active], [excluded], [loner] and [ranked_now] move only in this
+   [active], [excluded], [loner] and [marked] move only in this
    block's own transitions.  Reds precede blues in every list, each in
    array order, so a list is an order-preserving subsequence of
    [reds @ blues] and the engine's touched-listener delivery order is
@@ -450,31 +473,31 @@ and enter_next_part t k =
 let fill_awake t =
   let k = ref 0 in
   let keep a p =
-    Array.iter
-      (fun v ->
-        if p v then begin
+    Array.iteri
+      (fun i v ->
+        if p i v then begin
           t.awake.(!k) <- v;
           incr k
         end)
       a
   in
-  let unattached b = t.parents.(b) < 0 in
+  let all _ _ = true and unattached _ b = t.parents.(b) < 0 in
   (match t.stage with
   | Waiting | Done -> ()
   | Identify ->
-      keep t.reds (fun v -> t.ranks.(v) = 0 && not t.excluded.(v));
+      keep t.reds (fun i v -> t.ranks.(v) = 0 && not t.excluded.(i));
       keep t.blues unattached
   | Loner_probe ->
-      keep t.reds (fun v -> t.active.(v));
-      keep t.blues (fun b -> is_primary t b)
+      keep t.reds (fun i _ -> t.active.(i));
+      keep t.blues (fun _ b -> primary t b)
   | Loner_inform ->
-      keep t.reds (fun v -> t.active.(v));
-      keep t.blues (fun b -> t.loner.(b) && is_primary t b)
+      keep t.reds (fun i _ -> t.active.(i));
+      keep t.blues (fun j b -> t.loner.(j) && primary t b)
   | Part (_, recr) ->
-      keep (Recruiting.reds recr) (fun _ -> true);
-      keep (Recruiting.blues recr) (fun _ -> true)
+      keep (Recruiting.reds recr) all;
+      keep (Recruiting.blues recr) all
   | Stage3 ->
-      keep t.reds (fun v -> List.mem v t.ranked_now);
+      keep t.reds (fun i _ -> t.marked.(i));
       keep t.blues unattached);
   t.n_awake <- !k;
   t.awake_stale <- false
@@ -487,39 +510,48 @@ let write_awake t buf pos =
 (* ------------------------------------------------------------------ *)
 (* Scheduler interface *)
 
+(* [decide] and [deliver] find the node's side once: [i] is its red
+   position, [j] its blue position, -1 when it is not on that side. *)
 let decide t ~node =
   match t.stage with
   | Done | Waiting -> Engine.Sleep
+  | Part (_, recr) -> Recruiting.decide recr ~node
   | Identify ->
-      if is_primary t node then begin
-        if Rng.bernoulli (node_rng t node) (decay_prob t t.stage_round) then
+      let j = blue_pos t node in
+      if j >= 0 && primary t node then begin
+        if Rng.bernoulli_pow2 t.blue_rng.(j) (decay_exponent t t.stage_round) then
           Engine.Transmit Cmsg.Blue_here
         else Engine.Listen
       end
-      else if red_eligible t node && not t.active.(node) then Engine.Listen
-      else Engine.Sleep
+      else
+        let i = red_pos t node in
+        if i >= 0 && red_eligible t i && not t.active.(i) then Engine.Listen
+        else Engine.Sleep
   | Loner_probe ->
-      if t.is_red.(node) && t.active.(node) then Engine.Transmit Cmsg.Beacon
+      let i = red_pos t node in
+      if i >= 0 && t.active.(i) then Engine.Transmit Cmsg.Beacon
       else if is_primary t node then Engine.Listen
       else Engine.Sleep
   | Loner_inform ->
-      if is_primary t node && t.loner.(node) then begin
-        if Rng.bernoulli (node_rng t node) (decay_prob t t.stage_round) then
+      let j = blue_pos t node in
+      if j >= 0 && primary t node && t.loner.(j) then begin
+        if Rng.bernoulli_pow2 t.blue_rng.(j) (decay_exponent t t.stage_round) then
           Engine.Transmit Cmsg.Loner_here
         else Engine.Listen
       end
-      else if t.is_red.(node) && t.active.(node) then Engine.Listen
-      else Engine.Sleep
-  | Part (_, recr) -> Recruiting.decide recr ~node
+      else
+        let i = red_pos t node in
+        if i >= 0 && t.active.(i) then Engine.Listen else Engine.Sleep
   | Stage3 ->
-      if List.mem node t.ranked_now then begin
-        if Rng.bernoulli (node_rng t node) (decay_prob t t.stage_round) then
+      let i = red_pos t node in
+      if i >= 0 && t.marked.(i) then begin
+        if Rng.bernoulli_pow2 t.red_rng.(i) (decay_exponent t t.stage_round) then
           Engine.Transmit (Cmsg.Marked { red = node; rank = t.ranks.(node) })
         else Engine.Listen
       end
       else if
-        is_secondary t node
-        || (t.is_blue.(node) && t.parents.(node) < 0 && t.ranks.(node) = 0)
+        blue_pos t node >= 0
+        && (secondary t node || (t.parents.(node) < 0 && t.ranks.(node) = 0))
       then Engine.Listen
       else Engine.Sleep
 
@@ -528,32 +560,36 @@ let deliver t ~node reception =
   | Identify -> (
       match reception with
       | Engine.Received Cmsg.Blue_here ->
-          if red_eligible t node then t.active.(node) <- true
+          let i = red_pos t node in
+          if i >= 0 && red_eligible t i then t.active.(i) <- true
       | _ -> ())
   | Loner_probe -> (
       match reception with
       | Engine.Received Cmsg.Beacon ->
-          if is_primary t node then t.loner.(node) <- true
+          let j = blue_pos t node in
+          if j >= 0 && primary t node then t.loner.(j) <- true
       | _ -> ())
   | Loner_inform -> (
       match reception with
       | Engine.Received Cmsg.Loner_here ->
-          if t.is_red.(node) && t.active.(node) then t.loner_parent.(node) <- true
+          let i = red_pos t node in
+          if i >= 0 && t.active.(i) then t.loner_parent.(i) <- true
       | _ -> ())
   | Part (_, recr) -> Recruiting.deliver recr ~node reception
   | Stage3 -> (
       match reception with
       | Engine.Received (Cmsg.Marked { red; rank }) ->
-          if is_secondary t node then begin
+          let j = blue_pos t node in
+          if j >= 0 && secondary t node then begin
             t.parents.(node) <- red;
             t.parent_rank.(node) <- rank
           end
           else if
-            t.is_blue.(node) && t.parents.(node) < 0 && t.ranks.(node) = 0
-            && t.offer_red.(node) < 0
+            j >= 0 && t.parents.(node) < 0 && t.ranks.(node) = 0
+            && t.offer_red.(j) < 0
           then begin
-            t.offer_red.(node) <- red;
-            t.offer_rank.(node) <- rank
+            t.offer_red.(j) <- red;
+            t.offer_rank.(j) <- rank
           end
       | _ -> ())
   | Done | Waiting -> ()
@@ -567,7 +603,7 @@ let advance t =
       t.stage_round <- t.stage_round + 1;
       if
         t.params.Params.adaptive
-        && not (Array.exists (fun b -> is_primary t b && t.loner.(b)) t.blues)
+        && for_alli t.blues (fun j b -> not (primary t b && t.loner.(j)))
       then begin
         (* No loners: skip the inform stage. *)
         match enter_part t 1 with
@@ -611,8 +647,11 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?metrics ~rng
   let ranks = Array.make n 0 in
   let parent_rank = Array.make n (-1) in
   Array.iter (fun b -> ranks.(b) <- blue_ranks.(b)) blues;
+  let pos = Array.make n (-1) in
+  Array.iteri (fun i v -> pos.(v) <- i) reds;
+  Array.iteri (fun j b -> pos.(b) <- j) blues;
   let t =
-    create ~rng ~params ~scale_n:n ~graph ~reds ~blues ~parents ~ranks
+    create ~pos ~rng ~params ~scale_n:n ~graph ~reds ~blues ~parents ~ranks
       ~parent_rank
       ~ready:(fun ~rank:_ -> true)
       ()

@@ -33,6 +33,7 @@ open Rn_radio
 type t
 
 val create :
+  pos:int array ->
   rng:Rng.t ->
   params:Params.t ->
   scale_n:int ->
@@ -48,7 +49,12 @@ val create :
 (** [parents], [ranks] and [parent_rank] are shared result arrays indexed
     by node id, written in place ([-1] / [0] / [-1] when unknown): the
     orchestrator passes the same arrays to every level's instance so that
-    blue ranks are visible to the pair below as soon as they are final. *)
+    blue ranks are visible to the pair below as soon as they are final.
+    [pos] maps each node of [reds] to its index there and each node of
+    [blues] to its index there (other entries are arbitrary); the
+    orchestrator passes one map of positions within BFS levels to every
+    instance, so an instance keeps its per-node state in arrays sized to
+    its own reds and blues. *)
 
 (** {1 Scheduler interface} *)
 

@@ -38,17 +38,20 @@ let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
     (parents, ranks, parent_rank, 0, 0, 0)
   end
   else begin
-    let at_level l = Bfs.nodes_at_level levels l in
+    let level_nodes = Array.init (depth + 1) (Bfs.nodes_at_level levels) in
+    (* Every block addresses its per-node state by position in level. *)
+    let pos = Array.make n (-1) in
+    Array.iter (Array.iteri (fun i v -> pos.(v) <- i)) level_nodes;
     (* Deepest level: all leaves. *)
-    Array.iter (fun v -> ranks.(v) <- 1) (at_level depth);
+    Array.iter (fun v -> ranks.(v) <- 1) level_nodes.(depth);
     let leaf_inited = Array.make (depth + 1) false in
     leaf_inited.(depth) <- true;
-    let blocks = Array.make (depth + 1) None in
-    let block l = match blocks.(l) with Some b -> b | None -> assert false in
+    let blocks = ref [||] in
+    let block l = !blocks.(l - 1) in
     let finished_pair l = Bipartite_assignment.finished (block l) in
     let leaf_init l =
       if not leaf_inited.(l) then begin
-        Array.iter (fun v -> if ranks.(v) = 0 then ranks.(v) <- 1) (at_level l);
+        Array.iter (fun v -> if ranks.(v) = 0 then ranks.(v) <- 1) level_nodes.(l);
         leaf_inited.(l) <- true
       end
     in
@@ -63,64 +66,89 @@ let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
         fin || Bipartite_assignment.current_rank below < rank - 1
       end
     in
-    for l = 1 to depth do
-      blocks.(l) <-
-        Some
-          (Bipartite_assignment.create ~rng:(Rng.split rng) ~params ~scale_n
-             ~graph ~reds:(at_level (l - 1)) ~blues:(at_level l) ~parents
-             ~ranks ~parent_rank ~ready:(ready_for l) ())
-    done;
+    (* Block [l] is element [l-1]; [Array.init] creates them for l = 1 to
+       depth in order, so the RNG splits keep their order. *)
+    blocks :=
+      Array.init depth (fun i ->
+          let l = i + 1 in
+          Bipartite_assignment.create ~pos ~rng:(Rng.split rng) ~params
+            ~scale_n ~graph ~reds:level_nodes.(l - 1) ~blues:level_nodes.(l)
+            ~parents ~ranks ~parent_rank ~ready:(ready_for l) ());
     let current = ref depth (* sequential cursor *) in
-    let all_done () =
-      let rec go l = l < 1 || (finished_pair l && go (l - 1)) in
-      go depth
+    let n_finished = ref 0 in
+    (* Pipelined scheduler: for slot [s], [unfinished.(s)] holds the
+       unfinished levels l ≡ s (mod 3) in ascending order (the first
+       [n_unfinished.(s)] entries) and [live.(s)] those among them neither
+       [Waiting] nor [Done].  Both are rebuilt by the slot's own
+       [after_round], the only place where its blocks change stage. *)
+    let slot_levels s =
+      Array.of_list (List.filter (fun l -> l mod 3 = s) (List.init depth succ))
     in
-    let owner_block ~round ~node =
+    let unfinished = Array.init 3 slot_levels in
+    let n_unfinished = Array.map Array.length unfinished in
+    let live = Array.map (fun u -> Array.make (Array.length u) 0) unfinished in
+    let n_live = Array.make 3 0 in
+    (* The block that owns [node] this round (0: none). *)
+    let owner ~round ~node =
       let l = levels.(node) in
-      if l < 0 then None
+      if l < 0 then 0
       else
         match mode with
         | Sequential ->
             let c = !current in
-            if (l = c || l = c - 1) && not (finished_pair c) then Some (block c)
-            else None
+            if (l = c || l = c - 1) && not (finished_pair c) then c else 0
         | Pipelined ->
             let slot = round mod 3 in
             if l >= 1 && l <= depth && l mod 3 = slot && not (finished_pair l)
-            then Some (block l)
+            then l
             else if
               l + 1 >= 1
               && l + 1 <= depth
               && (l + 1) mod 3 = slot
               && not (finished_pair (l + 1))
-            then Some (block (l + 1))
-            else None
+            then l + 1
+            else 0
     in
     let decide ~round ~node =
-      match owner_block ~round ~node with
-      | Some b -> Bipartite_assignment.decide b ~node
-      | None -> Engine.Sleep
+      let l = owner ~round ~node in
+      if l = 0 then Engine.Sleep else Bipartite_assignment.decide (block l) ~node
     in
     let deliver ~round ~node reception =
-      match owner_block ~round ~node with
-      | Some b -> Bipartite_assignment.deliver b ~node reception
-      | None -> ()
+      let l = owner ~round ~node in
+      if l > 0 then Bipartite_assignment.deliver (block l) ~node reception
+    in
+    let advance l =
+      let b = block l in
+      Bipartite_assignment.advance b;
+      if Bipartite_assignment.finished b then incr n_finished
     in
     let after_round ~round =
       match mode with
       | Sequential ->
           let c = !current in
-          if not (finished_pair c) then Bipartite_assignment.advance (block c);
+          if not (finished_pair c) then advance c;
           while !current > 1 && finished_pair !current do
             leaf_init (!current - 1);
             decr current
           done
       | Pipelined ->
-          let slot = round mod 3 in
-          for l = 1 to depth do
-            if l mod 3 = slot && not (finished_pair l) then
-              Bipartite_assignment.advance (block l)
-          done
+          let s = round mod 3 in
+          let u = unfinished.(s) and lv = live.(s) in
+          let k = ref 0 and m = ref 0 in
+          for x = 0 to n_unfinished.(s) - 1 do
+            let l = u.(x) in
+            advance l;
+            if not (finished_pair l) then begin
+              u.(!k) <- l;
+              incr k;
+              if not (Bipartite_assignment.waiting (block l)) then begin
+                lv.(!m) <- l;
+                incr m
+              end
+            end
+          done;
+          n_unfinished.(s) <- !k;
+          n_live.(s) <- !m
     in
     let ladder = Ilog.clog (max 2 scale_n) in
     let max_rounds =
@@ -133,23 +161,26 @@ let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
        ([Bipartite_assignment.write_awake]) — an order-preserving
        subsequence of its level pair, so the touched-listener delivery
        order is unchanged.  The awake set of a round is the lists of the
-       blocks in the round's slot.  A block changes stage only inside
-       [advance]/[settle] (after_round), never in decide, so a list
-       observed at round start holds for the whole round. *)
+       live blocks in the round's slot, in ascending level order.  A block
+       changes stage only inside [advance]/[settle] (its own slot's
+       after_round), never in decide, so a list observed at round start
+       holds for the whole round, and the slot's [live] levels and counts
+       read at round start are what a scan of every block would find. *)
     let dormant l =
       let b = block l in
       Bipartite_assignment.finished b || Bipartite_assignment.waiting b
     in
-    let first_of_slot slot = if slot = 0 then 3 else slot in
     let decide_active ~round (buf : int array) =
       match mode with
       | Sequential -> Bipartite_assignment.write_awake (block !current) buf 0
       | Pipelined ->
-          let rec go l k =
-            if l > depth then k
-            else go (l + 3) (Bipartite_assignment.write_awake (block l) buf k)
-          in
-          go (first_of_slot (round mod 3)) 0
+          let s = round mod 3 in
+          let lv = live.(s) in
+          let k = ref 0 in
+          for x = 0 to n_live.(s) - 1 do
+            k := Bipartite_assignment.write_awake (block lv.(x)) buf !k
+          done;
+          !k
     in
     (* Skip hint, re-queried every round so it only ever promises rounds
        whose silence follows from *current* machine state: a slot with no
@@ -158,16 +189,8 @@ let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
        endgame fast-forward to the last live slot's rounds.  Dormant
        blocks may wake in after_round, so those promises stop at one
        round. *)
-    let slot_live s =
-      let rec go l = l <= depth && ((l mod 3 = s && not (dormant l)) || go (l + 1)) in
-      go (first_of_slot s)
-    in
-    let slot_dead s =
-      let rec go l =
-        l > depth || ((l mod 3 <> s || finished_pair l) && go (l + 1))
-      in
-      go (first_of_slot s)
-    in
+    let slot_live s = n_live.(s) > 0 in
+    let slot_dead s = n_unfinished.(s) = 0 in
     let next_busy_round ~round =
       match mode with
       | Sequential -> if dormant !current then round + 1 else round
@@ -181,7 +204,7 @@ let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
           else round + 3 (* every block finished; stop fires first *)
     in
     let protocol = { Engine.decide; deliver } in
-    let stop ~round:_ = all_done () in
+    let stop ~round:_ = !n_finished = depth in
     let outcome =
       Engine.run ~decide_active ~next_busy_round ~graph ~detection ~protocol
         ~after_round ~stop ~max_rounds ()
@@ -193,22 +216,9 @@ let run_assignment ~mode ~params ~detection ~rng ~graph ~levels () =
           failwith "Gst_distributed: assignment phase exhausted its budget"
     in
     leaf_init 0;
-    let fixups =
-      Array.fold_left
-        (fun acc b ->
-          match b with
-          | Some b -> acc + Bipartite_assignment.class_fixups b
-          | None -> acc)
-        0 blocks
-    in
-    let fallbacks =
-      Array.fold_left
-        (fun acc b ->
-          match b with
-          | Some b -> acc + Bipartite_assignment.fallback_reactivations b
-          | None -> acc)
-        0 blocks
-    in
+    let sum f = Array.fold_left (fun acc b -> acc + f b) 0 !blocks in
+    let fixups = sum Bipartite_assignment.class_fixups in
+    let fallbacks = sum Bipartite_assignment.fallback_reactivations in
     (parents, ranks, parent_rank, rounds, fixups, fallbacks)
   end
 

@@ -2,21 +2,14 @@ open Rn_util
 open Rn_graph
 open Rn_radio
 
-type red_state = {
-  red_rng : Rng.t;
-  mutable coin : bool;
-  mutable claims : int list;  (* distinct unrecruited blues claiming me *)
-  mutable recruits : int;  (* saturating at 2 = "many" *)
-  mutable single : int;  (* the unique recruit when recruits = 1 *)
-}
-
-type blue_state = {
-  blue_rng : Rng.t;
-  mutable heard : int;  (* red heard in this iteration's announce round; -1 none *)
-  mutable parent : int;  (* -1 = not recruited *)
-  mutable many : bool;  (* belief about parent's class *)
-}
-
+(* Member state lives in flat arrays indexed by member position (the
+   index into [reds] or [blues]).  A node reaches its position through
+   [pos], a node-indexed map to the node's index in some array that holds
+   it ({!create}: the member arrays themselves; the assignment phase: the
+   node's BFS level, shared by every instance of one construction), then
+   through [red_of]/[blue_of], which turn that index into a member
+   position.  [member] confirms the hit, because [pos] also maps the
+   nodes of other levels. *)
 type t = {
   graph : Graph.t;
   params : Params.t;
@@ -25,28 +18,38 @@ type t = {
   total_rounds : int;
   reds : int array;
   blues : int array;
-  red_st : (int, red_state) Hashtbl.t;
-  blue_st : (int, blue_state) Hashtbl.t;
+  pos : int array;
+  red_of : int array;  (* pos → red member position; -1 none *)
+  blue_of : int array;
+  (* red members *)
+  red_rng : Rng.t array;
+  coin : bool array;
+  claim : int array;  (* first distinct blue claiming me this iteration; -1 none *)
+  claims_many : bool array;  (* a second distinct blue claimed too *)
+  recruits : int array;  (* saturating at 2 = "many" *)
+  single : int array;  (* the unique recruit when recruits = 1 *)
+  (* blue members *)
+  blue_rng : Rng.t array;
+  heard : int array;  (* red heard in this iteration's announce round; -1 none *)
+  parent : int array;  (* -1 = not recruited *)
+  many : bool array;  (* belief about parent's class *)
   mutable round : int;
   mutable done_flag : bool;
 }
 
-let create ~rng ~params ~scale_n ~graph ~reds ~blues () =
+let index_of ~pos members =
+  let size = Array.fold_left (fun acc v -> max acc (pos.(v) + 1)) 0 members in
+  let of_ = Array.make size (-1) in
+  Array.iteri (fun i v -> of_.(pos.(v)) <- i) members;
+  of_
+
+let create_indexed ~pos ~rng ~params ~scale_n ~graph ~reds ~blues () =
   let ladder = Params.phase_len ~n:scale_n in
   let iter_len = 2 + ladder in
   let iters = Params.recruit_iterations params ~n:scale_n in
-  let red_st = Hashtbl.create (Array.length reds) in
-  Array.iter
-    (fun r ->
-      Hashtbl.replace red_st r
-        { red_rng = Rng.split rng; coin = false; claims = []; recruits = 0; single = -1 })
-    reds;
-  let blue_st = Hashtbl.create (Array.length blues) in
-  Array.iter
-    (fun b ->
-      Hashtbl.replace blue_st b
-        { blue_rng = Rng.split rng; heard = -1; parent = -1; many = false })
-    blues;
+  let nr = Array.length reds and nb = Array.length blues in
+  let red_rng = Array.map (fun _ -> Rng.split rng) reds in
+  let blue_rng = Array.map (fun _ -> Rng.split rng) blues in
   {
     graph;
     params;
@@ -55,132 +58,156 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues () =
     total_rounds = iters * iter_len;
     reds;
     blues;
-    red_st;
-    blue_st;
+    pos;
+    red_of = index_of ~pos reds;
+    blue_of = index_of ~pos blues;
+    red_rng;
+    coin = Array.make nr false;
+    claim = Array.make nr (-1);
+    claims_many = Array.make nr false;
+    recruits = Array.make nr 0;
+    single = Array.make nr (-1);
+    blue_rng;
+    heard = Array.make nb (-1);
+    parent = Array.make nb (-1);
+    many = Array.make nb false;
     round = 0;
     done_flag = false;
   }
 
-type slot = Announce | Claiming of int | Verdict
+let create ~rng ~params ~scale_n ~graph ~reds ~blues () =
+  let pos = Array.make (Graph.n graph) (-1) in
+  Array.iteri (fun i v -> pos.(v) <- i) reds;
+  Array.iteri (fun i v -> pos.(v) <- i) blues;
+  create_indexed ~pos ~rng ~params ~scale_n ~graph ~reds ~blues ()
 
-let slot t =
-  let r = t.round mod t.iter_len in
-  if r = 0 then Announce
-  else if r <= t.ladder then Claiming r
-  else Verdict
+(* Member position of [v] among [ids], or -1. *)
+let[@inline] member ~pos ~of_ ids v =
+  let p = pos.(v) in
+  if p < 0 || p >= Array.length of_ then -1
+  else
+    let i = of_.(p) in
+    if i >= 0 && ids.(i) = v then i else -1
+
+let[@inline] red_index t v = member ~pos:t.pos ~of_:t.red_of t.reds v
+let[@inline] blue_index t v = member ~pos:t.pos ~of_:t.blue_of t.blues v
+
+(* Round [r] of an iteration: 0 announces, 1..ladder claim (the Decay
+   step is [r]), the last round carries the verdicts. *)
+let[@inline] slot_round t = t.round mod t.iter_len
 
 let iteration t = t.round / t.iter_len
 
-let announce_probability t =
-  (* 2^{-⌈j/⌈log n⌉⌉}, cycling so long runs keep sweeping all scales. *)
-  let e = ((iteration t / t.ladder) mod t.ladder) + 1 in
-  1.0 /. float_of_int (1 lsl min e 62)
+(* Announce with probability 2^{-⌈j/⌈log n⌉⌉}, cycling so long runs keep
+   sweeping all scales; this is the exponent. *)
+let announce_exponent t = min (((iteration t / t.ladder) mod t.ladder) + 1) 62
+
+let verdict t i ~node =
+  if t.claims_many.(i) then Cmsg.Sigma node
+  else if t.claim.(i) >= 0 then begin
+    if t.recruits.(i) >= 1 then Cmsg.Sigma node
+    else Cmsg.Confirm { red = node; blue = t.claim.(i) }
+  end
+  else if
+    (* Echo the standing verdict for class consistency. *)
+    t.recruits.(i) >= 2
+  then Cmsg.Sigma node
+  else if t.recruits.(i) = 1 then Cmsg.Confirm { red = node; blue = t.single.(i) }
+  else Cmsg.Beacon
 
 let decide t ~node =
   if t.done_flag then Engine.Sleep
   else
-    match (Hashtbl.find_opt t.red_st node, slot t) with
-    | Some red, Announce ->
-        red.coin <- Rng.bernoulli red.red_rng (announce_probability t);
-        red.claims <- [];
-        if red.coin then Engine.Transmit (Cmsg.Red_id node) else Engine.Listen
-    | Some _, Claiming _ -> Engine.Listen
-    | Some red, Verdict ->
-        if not red.coin then Engine.Listen
-        else begin
-          let n_claims = List.length red.claims in
-          let verdict =
-            if n_claims >= 2 then Cmsg.Sigma node
-            else if n_claims = 1 then begin
-              if red.recruits >= 1 then Cmsg.Sigma node
-              else Cmsg.Confirm { red = node; blue = List.hd red.claims }
-            end
-            else if
-              (* Echo the standing verdict for class consistency. *)
-              red.recruits >= 2
-            then Cmsg.Sigma node
-            else if red.recruits = 1 then
-              Cmsg.Confirm { red = node; blue = red.single }
-            else Cmsg.Beacon
-          in
-          Engine.Transmit verdict
-        end
-    | None, _ -> (
-        match (Hashtbl.find_opt t.blue_st node, slot t) with
-        | None, _ -> Engine.Sleep
-        | Some blue, Announce ->
-            blue.heard <- -1;
-            Engine.Listen
-        | Some blue, Claiming d ->
-            if blue.parent < 0 && blue.heard >= 0 then begin
-              let p = 1.0 /. float_of_int (1 lsl min d 62) in
-              if Rng.bernoulli blue.blue_rng p then
-                Engine.Transmit (Cmsg.Claim { blue = node; red = blue.heard })
-              else Engine.Listen
-            end
-            else Engine.Listen
-        | Some _, Verdict -> Engine.Listen)
+    let r = slot_round t in
+    let i = red_index t node in
+    if i >= 0 then begin
+      if r = 0 then begin
+        let coin = Rng.bernoulli_pow2 t.red_rng.(i) (announce_exponent t) in
+        t.coin.(i) <- coin;
+        t.claim.(i) <- -1;
+        t.claims_many.(i) <- false;
+        if coin then Engine.Transmit (Cmsg.Red_id node) else Engine.Listen
+      end
+      else if r <= t.ladder || not t.coin.(i) then Engine.Listen
+      else Engine.Transmit (verdict t i ~node)
+    end
+    else
+      let j = blue_index t node in
+      if j < 0 then Engine.Sleep
+      else if r = 0 then begin
+        t.heard.(j) <- -1;
+        Engine.Listen
+      end
+      else if r <= t.ladder && t.parent.(j) < 0 && t.heard.(j) >= 0 then begin
+        if Rng.bernoulli_pow2 t.blue_rng.(j) (min r 62) then
+          Engine.Transmit (Cmsg.Claim { blue = node; red = t.heard.(j) })
+        else Engine.Listen
+      end
+      else Engine.Listen
 
-let commit_recruit red_state ~red:_ ~blue =
-  if red_state.recruits = 0 then begin
-    red_state.recruits <- 1;
-    red_state.single <- blue
+let red_index_exn t red =
+  let i = red_index t red in
+  if i < 0 then invalid_arg "Recruiting: verdict from a non-member red";
+  i
+
+let commit_recruit t i ~blue =
+  if t.recruits.(i) = 0 then begin
+    t.recruits.(i) <- 1;
+    t.single.(i) <- blue
   end
-  else red_state.recruits <- 2
+  else t.recruits.(i) <- 2
 
 let deliver t ~node reception =
   if not t.done_flag then
     match reception with
     | Engine.Silence | Engine.Collision -> ()
     | Engine.Received msg -> (
-        match Hashtbl.find_opt t.red_st node with
-        | Some red -> (
-            match (msg, slot t) with
-            | Cmsg.Claim { blue; red = target }, Claiming _ when target = node ->
-                if not (List.mem blue red.claims) then
-                  red.claims <- blue :: red.claims
+        let r = slot_round t in
+        let i = red_index t node in
+        if i >= 0 then begin
+          match msg with
+          | Cmsg.Claim { blue; red = target }
+            when target = node && r >= 1 && r <= t.ladder ->
+              if t.claim.(i) < 0 then t.claim.(i) <- blue
+              else if t.claim.(i) <> blue then t.claims_many.(i) <- true
+          | _ -> ()
+        end
+        else
+          let j = blue_index t node in
+          if j >= 0 then
+            match msg with
+            | Cmsg.Red_id red when r = 0 -> t.heard.(j) <- red
+            | Cmsg.Confirm { red; blue = b } when r > t.ladder ->
+                if b = node && t.parent.(j) < 0 && t.heard.(j) = red then begin
+                  t.parent.(j) <- red;
+                  t.many.(j) <- false;
+                  commit_recruit t (red_index_exn t red) ~blue:node
+                end
+            | Cmsg.Sigma red when r > t.ladder ->
+                if t.parent.(j) = red then t.many.(j) <- true
+                else if t.parent.(j) < 0 && t.heard.(j) = red then begin
+                  t.parent.(j) <- red;
+                  t.many.(j) <- true;
+                  (* The red might not have heard this blue; its class is
+                     already Many by construction of Sigma. *)
+                  let ri = red_index_exn t red in
+                  (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block and never runs with domains > 1. *)
+                  if t.recruits.(ri) < 2 then t.recruits.(ri) <- 2
+                end
             | _ -> ())
-        | None -> (
-            match Hashtbl.find_opt t.blue_st node with
-            | None -> ()
-            | Some blue -> (
-                match (msg, slot t) with
-                | Cmsg.Red_id r, Announce -> blue.heard <- r
-                | Cmsg.Confirm { red; blue = b }, Verdict ->
-                    if b = node && blue.parent < 0 && blue.heard = red then begin
-                      blue.parent <- red;
-                      blue.many <- false;
-                      commit_recruit (Hashtbl.find t.red_st red) ~red ~blue:node
-                    end
-                | Cmsg.Sigma red, Verdict ->
-                    if blue.parent = red then blue.many <- true
-                    else if blue.parent < 0 && blue.heard = red then begin
-                      blue.parent <- red;
-                      blue.many <- true;
-                      (* The red might not have heard this blue; its class is
-                         already Many by construction of Sigma. *)
-                      let rs = Hashtbl.find t.red_st red in
-                      (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block and never runs with domains > 1. *)
-                      if rs.recruits < 2 then rs.recruits <- 2
-                    end
-                | _ -> ())))
 
-let coverable_blues t =
-  Array.to_list t.blues
-  |> List.filter (fun b ->
-         Graph.fold_neighbors t.graph b
-           (fun acc v -> acc || Hashtbl.mem t.red_st v)
-           false)
+let coverable t b =
+  Graph.fold_neighbors t.graph b (fun acc v -> acc || red_index t v >= 0) false
 
 let goal_reached t =
-  List.for_all
-    (fun b ->
-      let bs = Hashtbl.find t.blue_st b in
-      bs.parent >= 0
-      &&
-      let rs = Hashtbl.find t.red_st bs.parent in
-      bs.many = (rs.recruits >= 2))
-    (coverable_blues t)
+  let rec go j =
+    j >= Array.length t.blues
+    || ((not (coverable t t.blues.(j)))
+        || (t.parent.(j) >= 0
+           && t.many.(j) = (t.recruits.(red_index_exn t t.parent.(j)) >= 2)))
+       && go (j + 1)
+  in
+  go 0
 
 let advance t =
   if not t.done_flag then begin
@@ -198,22 +225,19 @@ let finished t = t.done_flag
 type red_class = Zero | One of int | Many
 
 let parent_of t b =
-  match Hashtbl.find_opt t.blue_st b with
-  | Some bs when bs.parent >= 0 -> Some bs.parent
-  | Some _ | None -> None
+  let j = blue_index t b in
+  if j >= 0 && t.parent.(j) >= 0 then Some t.parent.(j) else None
 
 let red_class t r =
-  match Hashtbl.find_opt t.red_st r with
-  | None -> Zero
-  | Some rs ->
-      if rs.recruits >= 2 then Many
-      else if rs.recruits = 1 then One rs.single
-      else Zero
+  let i = red_index t r in
+  if i < 0 then Zero
+  else if t.recruits.(i) >= 2 then Many
+  else if t.recruits.(i) = 1 then One t.single.(i)
+  else Zero
 
 let blue_sees_many t b =
-  match Hashtbl.find_opt t.blue_st b with
-  | Some bs when bs.parent >= 0 -> Some bs.many
-  | Some _ | None -> None
+  let j = blue_index t b in
+  if j >= 0 && t.parent.(j) >= 0 then Some t.many.(j) else None
 
 let rounds_used t = t.round
 
@@ -289,7 +313,9 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?metrics ~rng
            match parent_of t b with Some r -> Some (b, r) | None -> None)
   in
   let all_covered =
-    List.for_all (fun b -> Option.is_some (parent_of t b)) (coverable_blues t)
+    Array.for_all
+      (fun b -> (not (coverable t b)) || Option.is_some (parent_of t b))
+      t.blues
   in
   let classes_consistent =
     List.for_all

@@ -50,14 +50,32 @@ val create :
     only by the adaptive-termination oracle (deciding which blues are
     coverable); node behaviour is purely local. *)
 
+val create_indexed :
+  pos:int array ->
+  rng:Rng.t ->
+  params:Params.t ->
+  scale_n:int ->
+  graph:Rn_graph.Graph.t ->
+  reds:int array ->
+  blues:int array ->
+  unit ->
+  t
+(** As {!create}, with the node-to-position map supplied instead of built:
+    [pos.(v)] is [v]'s index in some array that holds it, distinct among
+    the reds and distinct among the blues ([-1] for nodes in no array).
+    The assignment phase passes each node's position in its BFS level, one
+    map for every instance, so an instance allocates only arrays sized to
+    its members.  Same RNG draws and results as {!create}. *)
+
 (** {1 Scheduler interface} *)
 
 val decide : t -> node:int -> Cmsg.t Engine.action
 (** Action for one of the protocol's nodes in the current granted round.
     A node outside [reds ∪ blues] gets a side-effect-free [Sleep] (the
-    reference probe's full decide scan still asks such nodes), but each
-    costs two failed table lookups: schedulers with an active set wake
-    only {!reds} and {!blues}. *)
+    reference probe's full decide scan still asks such nodes).  Members
+    are found by position in flat state arrays, so a listening member's
+    [decide] and [deliver] allocate nothing; only transmitted packets
+    do. *)
 
 val deliver : t -> node:int -> Cmsg.t Engine.reception -> unit
 

@@ -53,10 +53,12 @@ let[@inline] float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let bernoulli t p =
+let[@inline] bernoulli t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float t 1.0 < p
+
+let bernoulli_pow2 t e = bernoulli t (1.0 /. float_of_int (1 lsl e))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

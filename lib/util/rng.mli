@@ -8,8 +8,9 @@
     independent stream. *)
 
 type t
-(** Mutable generator state.  Draws through [int], [bool] and
-    [bernoulli] allocate nothing; [bits64] and [float] box their result. *)
+(** Mutable generator state.  Draws through [int], [bool],
+    [bernoulli] and [bernoulli_pow2] allocate nothing; [bits64] and
+    [float] box their result. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a fresh generator from [seed].  Equal seeds yield
@@ -39,6 +40,11 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
+
+val bernoulli_pow2 : t -> int -> bool
+(** [bernoulli_pow2 t e] is [bernoulli t (1.0 /. float_of_int (1 lsl e))],
+    the same draw, computed inside this module: a caller passes an int
+    where a computed float argument would be boxed on every call. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

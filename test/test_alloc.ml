@@ -330,6 +330,76 @@ let test_assignment_run_budget () =
        words)
     true (words <= budget)
 
+(* Recruiting keeps its member state in flat arrays reached by position,
+   so a member that listens costs nothing on the minor heap: its
+   [decide] (announce coin included) and every [deliver] it gets in the
+   announce and claiming rounds.  The state machine is driven by hand
+   over three iterations on a complete bipartite graph: every blue hears
+   a red's id in the announce round and every red hears claims from two
+   blues.  Words are measured around each call alone, and only calls
+   that answered [Listen] count; a transmit allocates its packet. *)
+let test_recruiting_listeners () =
+  let module R = Rn_broadcast.Recruiting in
+  let n_reds = 4 and n_blues = 8 in
+  let edges =
+    List.concat_map
+      (fun r -> List.init n_blues (fun j -> (r, n_reds + j)))
+      (List.init n_reds Fun.id)
+  in
+  let graph = Graph.create ~n:(n_reds + n_blues) ~edges in
+  let reds = Array.init n_reds Fun.id
+  and blues = Array.init n_blues (fun j -> n_reds + j) in
+  let scale_n = 64 in
+  let t =
+    R.create ~rng:(Rn_util.Rng.create ~seed:9)
+      ~params:Rn_broadcast.Params.default ~scale_n ~graph ~reds ~blues ()
+  in
+  let ladder = Rn_broadcast.Params.phase_len ~n:scale_n in
+  let iter_len = 2 + ladder in
+  let heard = Engine.Received (Rn_broadcast.Cmsg.Red_id 0) in
+  let claims =
+    Array.init n_reds (fun r ->
+        Array.init 2 (fun k ->
+            Engine.Received
+              (Rn_broadcast.Cmsg.Claim { blue = n_reds + k; red = r })))
+  in
+  (* words, listening decides, delivers *)
+  let acc = [| 0.0; 0.0; 0.0 |] in
+  let measured_decide v =
+    let w0 = Gc.minor_words () in
+    let a = R.decide t ~node:v in
+    let w1 = Gc.minor_words () in
+    match a with
+    | Engine.Listen ->
+        acc.(0) <- acc.(0) +. (w1 -. w0);
+        acc.(1) <- acc.(1) +. 1.0
+    | Engine.Transmit _ | Engine.Sleep -> ()
+  in
+  let measured_deliver v rx =
+    let w0 = Gc.minor_words () in
+    R.deliver t ~node:v rx;
+    let w1 = Gc.minor_words () in
+    acc.(0) <- acc.(0) +. (w1 -. w0);
+    acc.(2) <- acc.(2) +. 1.0
+  in
+  for _ = 1 to 3 * iter_len do
+    let r = R.rounds_used t mod iter_len in
+    Array.iter measured_decide reds;
+    Array.iter measured_decide blues;
+    if r = 0 then Array.iter (fun b -> measured_deliver b heard) blues
+    else if r <= ladder then
+      Array.iter (fun v -> Array.iter (measured_deliver v) claims.(v)) reds;
+    R.advance t
+  done;
+  Alcotest.(check bool) "still running" false (R.finished t);
+  Alcotest.(check bool)
+    (Printf.sprintf "listeners exercised (%.0f decides, %.0f delivers)"
+       acc.(1) acc.(2))
+    true
+    (acc.(1) > 0.0 && acc.(2) > 0.0);
+  Alcotest.(check (float 0.0)) "listening decide/deliver: zero minor words"
+    0.0 acc.(0)
+
 (* Coding layer: a packet that cannot raise a decoder's rank is reduced
    in the decoder's own scratch row and dropped, so it must not allocate;
    a full-rank decoder returns before touching the packet's words.  An
@@ -537,6 +607,8 @@ let () =
         [
           Alcotest.test_case "standalone run budget" `Quick
             test_assignment_run_budget;
+          Alcotest.test_case "recruiting listeners zero-alloc" `Quick
+            test_recruiting_listeners;
         ] );
       ( "coding",
         [
